@@ -7,6 +7,10 @@ type t = {
           = 0], so the zero fill is consistent with the zeroed data. *)
   entry_table : int array;  (** -1 = unregistered *)
   mutable version : int;  (** bumped on any reconfiguration or write *)
+  mutable code_sum : int;
+      (** memoised [checksum_code]; -1 when stale.  Only the two
+          code-segment mutators ([load_image], [corrupt_code_bit])
+          invalidate it. *)
 }
 
 let max_entries = 64
@@ -21,6 +25,7 @@ let create ?(ecc = false) ~code_words ~data_bytes () =
     check = (if ecc then Bytes.make (data_bytes / 4) '\000' else Bytes.empty);
     entry_table = Array.make max_entries (-1);
     version = 0;
+    code_sum = -1;
   }
 
 let ecc t = Bytes.length t.check > 0
@@ -69,6 +74,7 @@ let load_image t (img : Metal_asm.Image.t) =
            (addr + String.length data))
     else begin
       t.version <- t.version + 1;
+      t.code_sum <- -1;
       for i = 0 to (String.length data / 4) - 1 do
         let w =
           Char.code data.[4 * i]
@@ -144,6 +150,7 @@ let corrupt_code_bit t ~word ~bit =
   if word < 0 || word >= Array.length t.code || bit < 0 || bit > 31 then false
   else begin
     t.version <- t.version + 1;
+    t.code_sum <- -1;
     t.code.(word) <- t.code.(word) lxor (1 lsl bit);
     true
   end
@@ -167,8 +174,11 @@ let corrupt_data_bit t ~addr ~bit =
   end
 
 let checksum_code t =
-  let h = ref 0x811c9dc5 in
-  Array.iter
-    (fun w -> h := (!h lxor w) * 0x01000193 land max_int)
-    t.code;
-  !h
+  if t.code_sum < 0 then begin
+    let h = ref 0x811c9dc5 in
+    Array.iter
+      (fun w -> h := (!h lxor w) * 0x01000193 land max_int)
+      t.code;
+    t.code_sum <- !h
+  end;
+  t.code_sum

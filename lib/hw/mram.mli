@@ -90,4 +90,9 @@ val checksum_code : t -> int
 (** FNV-1a hash of the full code segment.  {!Metal_cpu.Machine} records
     it at [load_mcode] time and re-checks it on Metal-mode entry when
     integrity checking is enabled (the dynamic analogue of the static
-    mverify pass). *)
+    mverify pass).  The value is cached: only the code-segment
+    mutators {!load_image} and {!corrupt_code_bit} invalidate it, and
+    the next call recomputes it, so repeated checks cost O(1) until
+    the code changes.  Data-segment writes ({!store_word},
+    {!corrupt_data_bit}, {!clear_data}) and {!set_entry} bump
+    {!version} but keep the cached value. *)

@@ -1,13 +1,27 @@
-type t = { data : Bytes.t; mutable version : int }
+(* [touched] holds one byte per [page_size] page, set by every mutator
+   on each page it writes and never cleared: a page whose byte is still
+   zero has never been written since [create] and so is all-zero. *)
+type t = { data : Bytes.t; touched : Bytes.t; mutable version : int }
+
+let page_bits = 12
+let page_size = 1 lsl page_bits
 
 let create ~size =
   if size <= 0 || size land 3 <> 0 then
     invalid_arg "Phys_mem.create: size must be a positive multiple of 4";
-  { data = Bytes.make size '\000'; version = 0 }
+  { data = Bytes.make size '\000';
+    touched = Bytes.make ((size + page_size - 1) lsr page_bits) '\000';
+    version = 0 }
 
 let size t = Bytes.length t.data
 
 let version t = t.version
+
+let page_touched t p =
+  p >= 0 && p < Bytes.length t.touched && Bytes.get t.touched p <> '\000'
+
+(* Callers have range-checked [addr]. *)
+let touch t addr = Bytes.unsafe_set t.touched (addr lsr page_bits) '\001'
 
 let in_range t ~addr ~width =
   addr >= 0 && addr + width <= Bytes.length t.data
@@ -36,17 +50,22 @@ let read32 t addr =
 let write8 t addr v =
   check t addr 1;
   t.version <- t.version + 1;
+  touch t addr;
   Bytes.set t.data addr (Char.chr (v land 0xFF))
 
 let write16 t addr v =
   check t addr 2;
   t.version <- t.version + 1;
+  touch t addr;
+  touch t (addr + 1);
   Bytes.set t.data addr (Char.chr (v land 0xFF));
   Bytes.set t.data (addr + 1) (Char.chr ((v lsr 8) land 0xFF))
 
 let write32 t addr v =
   check t addr 4;
   t.version <- t.version + 1;
+  touch t addr;
+  touch t (addr + 3);
   Bytes.set t.data addr (Char.chr (v land 0xFF));
   Bytes.set t.data (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set t.data (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
@@ -59,8 +78,13 @@ let blit_string t ~addr s =
          addr
          (addr + String.length s))
   else begin
+    let len = String.length s in
     t.version <- t.version + 1;
-    Bytes.blit_string s 0 t.data addr (String.length s);
+    if len > 0 then
+      Bytes.fill t.touched (addr lsr page_bits)
+        (((addr + len - 1) lsr page_bits) - (addr lsr page_bits) + 1)
+        '\001';
+    Bytes.blit_string s 0 t.data addr len;
     Ok ()
   end
 
@@ -81,12 +105,23 @@ let corrupt_bit t ~addr ~bit =
   write32 t addr v;
   v
 
+let[@inline] fnv_step h byte = (h lxor byte) * 0x01000193 land max_int
+
 let hash t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length t.data then
     invalid_arg "Phys_mem.hash: range";
   let h = ref 0x811c9dc5 in
   for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get t.data i)) * 0x01000193
-         land max_int
+    h := fnv_step !h (Char.code (Bytes.unsafe_get t.data i))
+  done;
+  !h
+
+(* Folded over the zero byte rather than hashing a zeroed buffer: no
+   allocation at module init, and no [Lazy.t] for fleet domains to
+   force concurrently. *)
+let zero_page_hash =
+  let h = ref 0x811c9dc5 in
+  for _ = 1 to page_size do
+    h := fnv_step !h 0
   done;
   !h

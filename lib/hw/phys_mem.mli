@@ -16,6 +16,27 @@ val version : t -> int
     cache — compare the version they captured at fill time against the
     current one to detect (possibly irrelevant) intervening writes. *)
 
+(** {2 Touched pages}
+
+    Memory keeps one flag per {!page_size} page.  Every mutator sets
+    the flag of each page it writes: [write8], [write16] and [write32]
+    mark the pages of both their first and last byte (alignment is not
+    enforced, so a [write32] at [0x…FFE] covers two pages), and
+    [blit_string]/[load_image] mark every page of the chunk.  Flags are
+    never cleared.  [t] is abstract, so nothing else can write memory:
+    {!corrupt_bit}, DMA, the loader and page-table writes all go through
+    these mutators.  Invariant: a page whose flag is unset is all-zero,
+    as {!create} left it.  Fault-injection snapshots use this to hash
+    only the pages a run touched. *)
+
+val page_size : int
+(** 4096 bytes. *)
+
+val page_touched : t -> int -> bool
+(** [page_touched t p]: some mutator has written page [p] (byte range
+    [\[p * page_size, (p + 1) * page_size)]) since {!create}.  [false]
+    for page indices outside memory. *)
+
 val in_range : t -> addr:int -> width:int -> bool
 
 val read8 : t -> int -> int
@@ -44,3 +65,7 @@ val corrupt_bit : t -> addr:int -> bit:int -> Word.t
 val hash : t -> pos:int -> len:int -> int
 (** FNV-1a hash of [len] bytes starting at [pos] (fault-injection
     verdicts compare per-page hashes instead of copying memory). *)
+
+val zero_page_hash : int
+(** [hash] of {!page_size} zero bytes: the hash of every full page
+    that {!page_touched} reports unwritten. *)

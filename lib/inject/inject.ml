@@ -215,7 +215,7 @@ module Snapshot = struct
     stats : Stats.t;
   }
 
-  let page_size = 4096
+  let page_size = Metal_hw.Phys_mem.page_size
 
   let take (m : Machine.t) ~console ~halt =
     let mem = Metal_hw.Bus.memory m.Machine.bus in
@@ -224,7 +224,10 @@ module Snapshot = struct
     let page_hashes =
       Array.init pages (fun p ->
           let pos = p * page_size in
-          Metal_hw.Phys_mem.hash mem ~pos ~len:(min page_size (size - pos)))
+          let len = min page_size (size - pos) in
+          if len = page_size && not (Metal_hw.Phys_mem.page_touched mem p)
+          then Metal_hw.Phys_mem.zero_page_hash
+          else Metal_hw.Phys_mem.hash mem ~pos ~len)
     in
     let mram = m.Machine.mram in
     let data_words = Metal_hw.Mram.data_bytes mram / 4 in
@@ -349,22 +352,22 @@ let run_plan ?(integrity = false) (m : Machine.t) ~fuel ~plan =
     | None ->
       if m.Machine.stats.Stats.cycles >= deadline then Fuel_exhausted
       else begin
-        Array.iteri
-          (fun i inj ->
-             if not fired.(i) && due m inj.trigger then begin
-               fired.(i) <- true;
-               let ok, restore = apply m inj.fault in
-               if ok then begin
-                 incr applied;
-                 Machine.emit m Ev.inject
-                   (class_code (fault_class inj.fault))
-                   (fault_detail inj.fault);
-                 match restore with
-                 | Some r -> restores := r :: !restores
-                 | None -> ()
-               end
-             end)
-          pending;
+        for i = 0 to Array.length pending - 1 do
+          let inj = pending.(i) in
+          if not fired.(i) && due m inj.trigger then begin
+            fired.(i) <- true;
+            let ok, restore = apply m inj.fault in
+            if ok then begin
+              incr applied;
+              Machine.emit m Ev.inject
+                (class_code (fault_class inj.fault))
+                (fault_detail inj.fault);
+              match restore with
+              | Some r -> restores := r :: !restores
+              | None -> ()
+            end
+          end
+        done;
         Pipeline.step m;
         (* Transient faults last exactly one cycle: put the original
            word back unless the program overwrote it during the step

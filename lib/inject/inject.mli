@@ -138,6 +138,10 @@ module Snapshot : sig
     console:string ->
     halt:Metal_cpu.Machine.halt option ->
     t
+  (** Cost O(touched pages + MRAM data), not O(memory size): a page
+      {!Metal_hw.Phys_mem.page_touched} reports as never written is
+      all-zero, so it gets the precomputed hash of a zero page instead
+      of being rehashed.  [page_hashes] equal a full per-page hash. *)
 
   val diff : oracle:t -> injected:t -> string list
   (** Diverging architectural components, e.g. ["halt"; "reg a0";

@@ -357,8 +357,12 @@ let test_integrity_trip ~predecode () =
     Tutil.run_injected ~config ~integrity:true ~fuel:100_000 ~plan prepare
   in
   Alcotest.(check int) "applied" 1 applied;
+  (* Cycle 107 is the first menter after the flip; pinned so that the
+     cached [Mram.checksum_code] trips on exactly the cycle the
+     recomputing check did. *)
   (match stop with
-   | Inject.Integrity_trip _ -> ()
+   | Inject.Integrity_trip { cycle } ->
+     Alcotest.(check int) "trip cycle" 107 cycle
    | _ -> Alcotest.fail "integrity check did not trip on menter");
   match verdict with
   | Inject.Detected Inject.Integrity_menter -> ()
@@ -493,6 +497,169 @@ let test_event_class_names () =
     Inject.all_classes
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot cost: [Snapshot.take] hashes only the pages
+   [Phys_mem.page_touched] reports and substitutes the zero-page hash
+   for the rest.  That is only sound if every writer marks what it
+   writes, so drive random sequences over every writer — the three
+   store widths (including page-straddling addresses), image chunks
+   spanning several pages, [corrupt_bit], DMA ticks, the loader and
+   page-table updates — and check the snapshot against an independent
+   hash of every page, and every unmarked page for all-zero bytes. *)
+
+module Phys_mem = Metal_hw.Phys_mem
+
+let touched_pages = 64
+
+let check_touched_map label m =
+  let mem = Metal_hw.Bus.memory m.Machine.bus in
+  let ps = Phys_mem.page_size in
+  let snap = Inject.Snapshot.take m ~console:"" ~halt:None in
+  Alcotest.(check int) (label ^ ": page count") touched_pages
+    (Array.length snap.Inject.Snapshot.page_hashes);
+  for p = 0 to touched_pages - 1 do
+    let h = Phys_mem.hash mem ~pos:(p * ps) ~len:ps in
+    if snap.Inject.Snapshot.page_hashes.(p) <> h then
+      Alcotest.failf "%s: snapshot hash of page %d differs from a full hash"
+        label p;
+    if not (Phys_mem.page_touched mem p) then
+      for a = p * ps to ((p + 1) * ps) - 1 do
+        if Phys_mem.read8 mem a <> 0 then
+          Alcotest.failf "%s: page %d unmarked but byte 0x%x is 0x%02x" label
+            p a (Phys_mem.read8 mem a)
+      done
+  done
+
+let test_touched_page_map () =
+  let ps = Phys_mem.page_size in
+  let size = touched_pages * ps in
+  let config = { Config.default with Config.mem_size = size } in
+  for seed = 0 to 39 do
+    let prng = Inject.Prng.create ~seed ~stream:0 in
+    let int bound = Inject.Prng.int prng ~bound in
+    let sys = System.create ~config () in
+    let m = sys.System.machine in
+    let mem = Metal_hw.Bus.memory m.Machine.bus in
+    (* Frames for the loader and page tables come from the top half. *)
+    let alloc =
+      Metal_kernel.Frame_alloc.create ~base:(size / 2) ~limit:size
+    in
+    let space =
+      match Metal_kernel.Addr_space.create m ~asid:1 ~alloc with
+      | Ok s -> s
+      | Error e -> Alcotest.fail e
+    in
+    (* Mostly the last 1–3 bytes of a page, else anywhere; [width]
+       bytes must fit. *)
+    let addr width =
+      if Inject.Prng.bool prng then
+        (int (touched_pages - 1) * ps) + ps - 1 - int 3
+      else int (size - width + 1)
+    in
+    (* Every byte written is non-zero, so a write whose page is left
+       unmarked always shows up as a non-zero unmarked page. *)
+    let bytes n = String.init n (fun _ -> Char.chr (1 + int 255)) in
+    let word () = int 0x1_0000_0000 lor 0x01010101 in
+    let label = Printf.sprintf "seed %d" seed in
+    for step = 0 to 29 do
+      (match int 9 with
+       | 0 -> Phys_mem.write8 mem (addr 1) (1 + int 255)
+       | 1 -> Phys_mem.write16 mem (addr 2) (word () land 0xFFFF)
+       | 2 -> Phys_mem.write32 mem (addr 4) (word ())
+       | 3 ->
+         let len = 1 + int (3 * ps) in
+         ignore
+           (Phys_mem.blit_string mem ~addr:(int (size - len + 1)) (bytes len))
+       | 4 ->
+         let chunks =
+           List.init (1 + int 3) (fun _ ->
+               let len = 1 + int (2 * ps) in
+               (int (size - len + 1), bytes len))
+         in
+         ignore
+           (Phys_mem.load_image mem
+              { Metal_asm.Image.chunks; symbols = []; mentries = [];
+                mbounds = []; listing = [] })
+       | 5 ->
+         ignore
+           (Phys_mem.corrupt_bit mem ~addr:(4 * int (size / 4)) ~bit:(int 32))
+       | 6 ->
+         let writes =
+           List.init (1 + int 4) (fun c ->
+               (c, 4 * int (size / 4), word ()))
+         in
+         let dma = Metal_hw.Devices.Dma.create ~mem ~writes in
+         (Metal_hw.Devices.Dma.device dma).Metal_hw.Bus.tick ~cycle:8
+       | 7 ->
+         (* May run out of frames part-way; the writes made so far
+            must still be marked. *)
+         let vaddr = int 0x40_0000 in
+         ignore
+           (Metal_kernel.Loader.load m ~space ~alloc
+              { Metal_asm.Image.chunks = [ (vaddr, bytes (1 + int ps)) ];
+                symbols = []; mentries = []; mbounds = []; listing = [] })
+       | _ ->
+         let vaddr = ps * int 0x400 in
+         if Inject.Prng.bool prng then
+           ignore
+             (Metal_kernel.Addr_space.map space ~vaddr
+                ~paddr:(ps * int touched_pages) Metal_kernel.Page_table.rw)
+         else
+           ignore
+             (Metal_kernel.Page_table.unmap space.Metal_kernel.Addr_space.pt
+                ~vaddr));
+      if step mod 10 = 9 then
+        check_touched_map (Printf.sprintf "%s step %d" label step) m
+    done
+  done
+
+(* The integrity check re-reads [Mram.checksum_code] on every menter;
+   the value is cached and must track the code segment exactly. *)
+let test_mram_checksum_cache () =
+  let code_words = 64 in
+  let mram = Metal_hw.Mram.create ~ecc:true ~code_words ~data_bytes:256 () in
+  let recompute () =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to code_words - 1 do
+      match Metal_hw.Mram.fetch mram ~addr:(4 * i) with
+      | Some w -> h := (!h lxor w) * 0x01000193 land max_int
+      | None -> Alcotest.fail "code word out of range"
+    done;
+    !h
+  in
+  let image words =
+    { Metal_asm.Image.chunks =
+        [ (0, String.concat "" (List.map (fun w ->
+               String.init 4 (fun k -> Char.chr ((w lsr (8 * k)) land 0xFF)))
+               words)) ];
+      symbols = []; mentries = []; mbounds = []; listing = [] }
+  in
+  let load words =
+    match Metal_hw.Mram.load_image mram (image words) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let sum () = Metal_hw.Mram.checksum_code mram in
+  load [ 0x13; 0x00500093; 0xdeadbeef ];
+  let c0 = sum () in
+  Alcotest.(check int) "loaded = recomputed" (recompute ()) c0;
+  Alcotest.(check bool) "flip applied" true
+    (Metal_hw.Mram.corrupt_code_bit mram ~word:1 ~bit:7);
+  let c1 = sum () in
+  Alcotest.(check bool) "flip changes the checksum" true (c1 <> c0);
+  Alcotest.(check int) "flipped = recomputed" (recompute ()) c1;
+  ignore (Metal_hw.Mram.corrupt_code_bit mram ~word:1 ~bit:7);
+  Alcotest.(check int) "flip back restores" c0 (sum ());
+  Alcotest.(check bool) "data store applied" true
+    (Metal_hw.Mram.store_word mram ~addr:8 0x1234);
+  Alcotest.(check bool) "data flip applied" true
+    (Metal_hw.Mram.corrupt_data_bit mram ~addr:8 ~bit:3);
+  Alcotest.(check int) "data writes keep the checksum" c0 (sum ());
+  load [ 0x13; 0x13; 0x13; 0x13 ];
+  let c2 = sum () in
+  Alcotest.(check bool) "reload changes the checksum" true (c2 <> c0);
+  Alcotest.(check int) "reloaded = recomputed" (recompute ()) c2
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "inject"
@@ -522,6 +689,11 @@ let () =
             (test_integrity_trip ~predecode:false);
           Alcotest.test_case "predecode cache coherence under code flips"
             `Quick test_predecode_coherence ] );
+      ( "snapshot cost",
+        [ Alcotest.test_case "touched-page map completeness" `Quick
+            test_touched_page_map;
+          Alcotest.test_case "mram checksum cache" `Quick
+            test_mram_checksum_cache ] );
       ( "units",
         [ Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
