@@ -472,6 +472,148 @@ let test_pkey_fetch_unaffected () =
   check_int "executed despite disabled key" 77 (reg m "s0")
 
 (* ------------------------------------------------------------------ *)
+(* Translation and alignment faults *)
+
+type fault_check = Reg of string * int | Mem of int * int
+
+type fault_expect =
+  | Fault of { metal : bool; cause : Cause.t; pc : int option; info : int;
+               vaddr : int }
+      (** [pc = None]: the instruction at label [fault] *)
+  | Clean of fault_check list
+
+(* Every row runs on a fresh machine with the hardware walker over one
+   page table: code identity-mapped at page 0; 0x10000 read-only;
+   0x11000 write-only; 0x12000 unmapped (its second-level entry is
+   empty); 0x800000 unmapped (no second-level table); 0x13000 under
+   page key 1 (read disabled); 0x14000 under key 2 (write disabled). *)
+let fault_matrix_rows =
+  let fault ?(metal = false) ?pc cause ~info ~vaddr =
+    Fault { metal; cause; pc; info; vaddr }
+  in
+  let keys_mcode = ".mentry 0, f\nf:\nlw a0, 0(t0)\nsw t1, 0(t2)\nmexit\n" in
+  let bad_mcode = ".mentry 0, f\nf:\nfault: lw a0, 0(t0)\nmexit\n" in
+  [ ("fetch missing X", true, None, "li t0, 0x10000\njr t0\n",
+     fault Cause.Page_fault_fetch ~pc:0x10000 ~info:0x10000 ~vaddr:0x10000);
+    ("fetch no mapping", true, None, "li t0, 0x12000\njr t0\n",
+     fault Cause.Page_fault_fetch ~pc:0x12000 ~info:0x12000 ~vaddr:0x12000);
+    ("load missing R", true, None,
+     "li t0, 0x11000\nfault: lw a0, 8(t0)\nebreak\n",
+     fault Cause.Page_fault_load ~info:0x11008 ~vaddr:0x11008);
+    ("load no mapping", true, None,
+     "li t0, 0x12000\nfault: lw a0, 4(t0)\nebreak\n",
+     fault Cause.Page_fault_load ~info:0x12004 ~vaddr:0x12004);
+    ("load no table", true, None,
+     "li t0, 0x800000\nfault: lbu a0, 3(t0)\nebreak\n",
+     fault Cause.Page_fault_load ~info:0x800003 ~vaddr:0x800003);
+    ("store missing W", true, None,
+     "li t0, 0x10000\nli t1, 5\nfault: sw t1, 12(t0)\nebreak\n",
+     fault Cause.Page_fault_store ~info:0x1000C ~vaddr:0x1000C);
+    ("store no mapping", true, None,
+     "li t0, 0x12000\nli t1, 5\nfault: sb t1, 1(t0)\nebreak\n",
+     fault Cause.Page_fault_store ~info:0x12001 ~vaddr:0x12001);
+    ("load read-disabled key", true, None,
+     "li t0, 0x13000\nfault: lw a0, 0(t0)\nebreak\n",
+     fault Cause.Pkey_violation_load ~info:0x13000 ~vaddr:0x13000);
+    ("store write-disabled key", true, None,
+     "li t0, 0x14000\nli t1, 5\nfault: sw t1, 4(t0)\nebreak\n",
+     fault Cause.Pkey_violation_store ~info:0x14004 ~vaddr:0x14004);
+    ("load write-disabled key", true, None,
+     "li t0, 0x14000\nlw a0, 0(t0)\nebreak\n", Clean [ Reg ("a0", 4321) ]);
+    ("store read-disabled key", true, None,
+     "li t0, 0x13000\nli t1, 9\nsw t1, 8(t0)\nebreak\n",
+     Clean [ Mem (0x23008, 9) ]);
+    ("metal skips keys", true, Some keys_mcode,
+     "li t0, 0x13000\nli t2, 0x14000\nli t1, 5\nmenter 0\nebreak\n",
+     Clean [ Reg ("a0", 1234); Mem (0x24000, 5) ]);
+    ("metal page fault fatal", true, Some bad_mcode,
+     "li t0, 0x12000\nmenter 0\nebreak\n",
+     fault ~metal:true Cause.Page_fault_load ~info:0x12000 ~vaddr:0x12000);
+    ("paging off", false, None,
+     "li t0, 0x12000\nlw a0, 0(t0)\nli t0, 0x10000\nli t1, 6\nsw t1, 0(t0)\n\
+      ebreak\n",
+     Clean [ Reg ("a0", 77); Mem (0x10000, 6) ]);
+    ("misaligned load", true, None,
+     "li t0, 0x12000\nfault: lw a0, 2(t0)\nebreak\n",
+     fault Cause.Misaligned_load ~info:0x12002 ~vaddr:0);
+    ("misaligned store", true, None,
+     "li t0, 0x12000\nli t1, 5\nfault: sh t1, 1(t0)\nebreak\n",
+     fault Cause.Misaligned_store ~info:0x12001 ~vaddr:0);
+    ("misaligned fetch", true, None, "li t0, 0x102\njr t0\n",
+     fault Cause.Misaligned_fetch ~pc:0x102 ~info:0x102 ~vaddr:0) ]
+
+let run_fault_row ~config ~paging ?mcode src =
+  let m = boot ~config ?mcode src in
+  let alloc = Metal_kernel.Frame_alloc.create ~base:0x100000 ~limit:0x200000 in
+  let mem = Metal_hw.Bus.memory m.Machine.bus in
+  let pt = Metal_kernel.Page_table.create ~mem ~alloc in
+  let map ?pkey vaddr paddr perms =
+    match Metal_kernel.Page_table.map pt ~vaddr ~paddr ?pkey perms with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  map 0 0 Metal_kernel.Page_table.rwx;
+  map 0x10000 0x20000 Metal_kernel.Page_table.ro;
+  map 0x11000 0x21000 { Metal_kernel.Page_table.r = false; w = true; x = false };
+  map ~pkey:1 0x13000 0x23000 Metal_kernel.Page_table.rw;
+  map ~pkey:2 0x14000 0x24000 Metal_kernel.Page_table.rw;
+  Machine.write_word m 0x12000 77;
+  Machine.write_word m 0x23000 1234;
+  Machine.write_word m 0x24000 4321;
+  Machine.ctrl_write m Csr.pt_root (Metal_kernel.Page_table.root pt);
+  Machine.ctrl_write m Csr.hw_walker 1;
+  Machine.ctrl_write m Csr.pkey_perms 0x24;  (* key 1 read, key 2 write *)
+  if paging then Machine.ctrl_write m Csr.paging 1;
+  (m, Pipeline.run m ~max_cycles:10_000)
+
+let test_translation_fault_matrix () =
+  let cause = Alcotest.testable (Fmt.of_to_string Cause.to_string) ( = ) in
+  List.iter
+    (fun (tier, predecode, blockcache) ->
+       List.iter
+         (fun (name, paging, mcode, src, expect) ->
+            let config = { Config.default with Config.predecode; blockcache } in
+            let m, halt = run_fault_row ~config ~paging ?mcode src in
+            let what s = Printf.sprintf "%s [%s]: %s" name tier s in
+            match (expect, halt) with
+            | ( Fault { metal; cause = c; pc; info; vaddr },
+                Some
+                  ( Machine.Halt_fault { cause = got; pc = gpc; info = ginfo }
+                  | Machine.Halt_metal_fault
+                      { cause = got; pc = gpc; info = ginfo } ) ) ->
+              let label =
+                Metal_asm.Image.find_symbol
+                  (Metal_asm.Asm.assemble_exn (Option.value ~default:src mcode))
+                  "fault"
+              in
+              let pc =
+                match (pc, label) with
+                | Some pc, _ | None, Some pc -> pc
+                | None, None -> Alcotest.fail (what "no fault label")
+              in
+              check_bool (what "metal fault") metal
+                (match halt with
+                 | Some (Machine.Halt_metal_fault _) -> true
+                 | _ -> false);
+              Alcotest.check cause (what "cause") c got;
+              check_int (what "pc") pc gpc;
+              check_int (what "info") info ginfo;
+              check_int (what "fault_vaddr") vaddr m.Machine.fault_vaddr
+            | Clean checks, Some (Machine.Halt_ebreak _) ->
+              List.iter
+                (function
+                  | Reg (r, v) -> check_int (what r) v (reg m r)
+                  | Mem (pa, v) ->
+                    check_int (what (Printf.sprintf "mem 0x%x" pa)) v
+                      (Machine.read_word m pa))
+                checks
+            | _, Some h -> Alcotest.fail (what (Machine.halted_to_string h))
+            | _, None -> Alcotest.fail (what "no halt"))
+         fault_matrix_rows)
+    [ ("blocks", true, true); ("predecode", true, false);
+      ("slow", false, false) ]
+
+(* ------------------------------------------------------------------ *)
 (* Cache timing and MRAM bypass (Section 2 / Section 4) *)
 
 let icache_cfg =
@@ -710,6 +852,9 @@ let () =
             test_branch_not_taken_is_free;
           Alcotest.test_case "counters" `Quick test_counter_invariants;
           Alcotest.test_case "pkey fetch" `Quick test_pkey_fetch_unaffected ] );
+      ( "translation",
+        [ Alcotest.test_case "fault matrix" `Quick
+            test_translation_fault_matrix ] );
       ( "edge-regressions",
         [ Alcotest.test_case "mexit at MRAM segment end" `Quick
             test_mexit_at_mram_segment_end;
