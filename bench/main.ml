@@ -1175,7 +1175,11 @@ let timed_sweep run =
    minor-heap watch.  The budget of 0.05 words/cycle amortizes the
    one-time block build and engage-time bookkeeping (window
    descriptors, chain patches) while failing on any per-cycle boxing
-   that sneaks into [compiled_cycle]. *)
+   that sneaks into [compiled_cycle].  The same loop then runs with the
+   block cache off under the same budget: [step_fast] promises an
+   allocation-free steady state too, and this holds it to that.  Only
+   the blocks-on figure goes into the JSON; the predecode figure is
+   printed. *)
 let simperf_alloc_gate () =
   let prog =
     {|
@@ -1190,27 +1194,38 @@ loop:
     ebreak
 |}
   in
-  let m = machine () in
-  ignore (load m prog);
-  Machine.set_pc m 0;
-  run_to_ebreak m;
-  let m2 = machine () in
-  ignore (load m2 prog);
-  Machine.set_pc m2 0;
-  let w0 = Gc.minor_words () in
-  run_to_ebreak m2;
-  let dw = Gc.minor_words () -. w0 in
-  let cycles = m2.Machine.stats.Stats.cycles in
-  let per_cycle = dw /. float_of_int cycles in
-  Printf.printf
-    "allocation gate: %.0f minor words / %d cycles = %.4f words per cycle\n"
-    dw cycles per_cycle;
-  if per_cycle > 0.05 then
-    fail
-      "block replay allocates %.4f minor words per cycle (budget 0.05) — \
-       boxing leaked into the compiled loop"
-      per_cycle;
-  per_cycle
+  let gate ~blockcache ~label ~what ~loop =
+    let config = { Config.default with Config.blockcache } in
+    let m = machine ~config () in
+    ignore (load m prog);
+    Machine.set_pc m 0;
+    run_to_ebreak m;
+    let m2 = machine ~config () in
+    ignore (load m2 prog);
+    Machine.set_pc m2 0;
+    let w0 = Gc.minor_words () in
+    run_to_ebreak m2;
+    let dw = Gc.minor_words () -. w0 in
+    let cycles = m2.Machine.stats.Stats.cycles in
+    let per_cycle = dw /. float_of_int cycles in
+    Printf.printf
+      "allocation gate%s: %.0f minor words / %d cycles = %.4f words per cycle\n"
+      label dw cycles per_cycle;
+    if per_cycle > 0.05 then
+      fail
+        "%s allocates %.4f minor words per cycle (budget 0.05) — boxing \
+         leaked into %s"
+        what per_cycle loop;
+    per_cycle
+  in
+  let blocks =
+    gate ~blockcache:true ~label:"" ~what:"block replay"
+      ~loop:"the compiled loop"
+  in
+  ignore
+    (gate ~blockcache:false ~label:" (predecode)" ~what:"the predecode stepper"
+       ~loop:"step_fast");
+  blocks
 
 let simperf_json = ref false
 

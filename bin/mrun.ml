@@ -515,6 +515,12 @@ let run paths mcode_path origin max_cycles palcode ecc no_blocks report
      | Error e -> Printf.eprintf "metal-run: --watch %s\n" e
      | Ok _ -> ());
     1
+  | _ when max_cycles <= 0 ->
+    Printf.eprintf
+      "metal-run: --max-cycles %d: the cycle budget must be a positive \
+       count\n"
+      max_cycles;
+    1
   | _ when telemetry_window <= 0 ->
     Printf.eprintf
       "metal-run: --telemetry-window %d: the window size must be a \
@@ -624,7 +630,7 @@ let origin =
 
 let max_cycles =
   Arg.(value & opt int 10_000_000 & info [ "max-cycles" ] ~docv:"N"
-         ~doc:"Cycle budget.")
+         ~doc:"Cycle budget ($(docv) must be positive).")
 
 let palcode =
   Arg.(value & flag & info [ "palcode" ]

@@ -2,33 +2,19 @@ open Machine
 module P = Predecode
 module B = Blockcache
 module Ev = Metal_trace.Event
+module S = Semantics
 
 (* The stage functions below mutate the machine's latch records in
    place and return int-encoded outcomes instead of options/results:
    together with the predecoded-instruction cache this makes [step]
    allocation-free in steady state (allocation survives only on rare
-   paths — faults, events, traces, cache fills). *)
+   paths — faults, events, traces, cache fills).  What each
+   instruction does lives in [Semantics]; this file holds the latch
+   storage, forwarding, hazards, fetch scheduling and the two cycle
+   drivers ([step_fast] and the block stepper). *)
 
 (* ------------------------------------------------------------------ *)
-(* Classification helpers                                              *)
-
-(* Instructions whose GPR result is only available after the MEM
-   stage; a dependent instruction immediately behind them must stall
-   one cycle (load-use interlock). *)
-let produces_at_mem = function
-  | Instr.Load _ -> true
-  | Instr.Metal m ->
-    begin match m with
-    | Instr.Mld _ | Instr.Rmr _ -> true
-    | Instr.Feature
-        (Instr.Physld _ | Instr.Tlbprobe _ | Instr.Gprr _ | Instr.Mcsrr _) ->
-      true
-    | Instr.Menter _ | Instr.Mexit | Instr.Wmr _ | Instr.Mst _
-    | Instr.Feature _ -> false
-    end
-  | Instr.Lui _ | Instr.Auipc _ | Instr.Jal _ | Instr.Jalr _ | Instr.Branch _
-  | Instr.Store _ | Instr.Op_imm _ | Instr.Op _ | Instr.Ecall | Instr.Ebreak
-  | Instr.Fence -> false
+(* Latch-side helpers                                                  *)
 
 (* Destination GPR, 0 when the instruction writes none (or targets x0,
    which all consumers ignore).  Allocation-free counterpart of
@@ -55,242 +41,16 @@ let uop_dst = function
   | U_instr i -> instr_dst i
   | U_event _ | U_poison _ -> 0
 
-let uop_produces_at_mem = function
-  | U_instr i -> produces_at_mem i
-  | U_event _ | U_poison _ -> false
-
-(* Instructions that modify Metal registers at MEM: [mexit] decodes
-   against m31, so it interlocks on these. *)
-let uop_writes_mreg = function
-  | U_instr (Instr.Metal (Instr.Wmr _ | Instr.Menter _)) -> true
-  | U_event _ -> true
-  | U_instr _ | U_poison _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Address translation                                                 *)
-
-type access = A_fetch | A_load | A_store
-
-let fault_of_access = function
-  | A_fetch -> Cause.Page_fault_fetch
-  | A_load -> Cause.Page_fault_load
-  | A_store -> Cause.Page_fault_store
-
-(* Hardware page-table walk (the baseline the paper's custom page
-   tables compete with).  PTE layout, shared with the mcode walker in
-   Metal_progs.Pagetable:
-     bits 31:12  physical page base (a physical address, not a shifted
-                 ppn, so mcode can mask instead of shift)
-     bits 8:5    page key
-     bit 4       global
-     bit 3       X, bit 2 W, bit 1 R, bit 0 V
-   A valid PTE with R=W=X=0 points at the next-level table. *)
-let hw_walk m ~vpn ~asid =
-  let open Metal_hw in
-  m.stats.Stats.hw_walks <- m.stats.Stats.hw_walks + 1;
-  emit m Ev.hw_walk vpn 0;
-  let read_pte pa =
-    let lat = m.config.Config.walker_latency in
-    m.stall_cycles <- m.stall_cycles + lat;
-    if lat > 0 then begin
-      m.stats.Stats.walker_stall_cycles <-
-        m.stats.Stats.walker_stall_cycles + lat;
-      emit m Ev.stall_begin Ev.stall_walker lat
-    end;
-    match Bus.load m.bus ~width:Instr.Word ~addr:pa with
-    | Ok w -> Some w
-    | Error _ -> None
-  in
-  let root = m.ctrl.(Csr.pt_root) in
-  let entry_of pte ~vpn ~ppn_extra =
-    let r = Word.bit 1 pte = 1
-    and w = Word.bit 2 pte = 1
-    and x = Word.bit 3 pte = 1
-    and global = Word.bit 4 pte = 1
-    and pkey = Word.bits ~hi:8 ~lo:5 pte in
-    let ppn = Word.bits ~hi:31 ~lo:12 pte lor ppn_extra in
-    { Tlb.asid; global; vpn; ppn; r; w; x; pkey }
-  in
-  match read_pte (root + (4 * (vpn lsr 10))) with
-  | None -> None
-  | Some pte1 ->
-    if Word.bit 0 pte1 = 0 then None
-    else if Word.bits ~hi:3 ~lo:1 pte1 <> 0 then
-      (* 4 MiB superpage leaf at level 1. *)
-      Some (entry_of pte1 ~vpn ~ppn_extra:(vpn land 0x3FF))
-    else begin
-      let table = pte1 land 0xFFFFF000 in
-      match read_pte (table + (4 * (vpn land 0x3FF))) with
-      | None -> None
-      | Some pte2 ->
-        if Word.bit 0 pte2 = 0 || Word.bits ~hi:3 ~lo:1 pte2 = 0 then None
-        else Some (entry_of pte2 ~vpn ~ppn_extra:0)
-    end
-
-let translate_fault m cause vaddr =
-  m.fault_vaddr <- Word.of_int vaddr;
-  m.xlate_cause <- cause;
-  -1
-
-let check_entry m ~access ~metal vaddr (e : Metal_hw.Tlb.entry) =
-  let open Metal_hw.Tlb in
-  let perm_ok =
-    match access with A_fetch -> e.x | A_load -> e.r | A_store -> e.w
-  in
-  if not perm_ok then translate_fault m (fault_of_access access) vaddr
-  else if not metal then begin
-    let perms = m.ctrl.(Csr.pkey_perms) in
-    let read_disabled = Word.bit (2 * e.pkey) perms = 1 in
-    let write_disabled = Word.bit ((2 * e.pkey) + 1) perms = 1 in
-    match access with
-    | A_load when read_disabled ->
-      translate_fault m Cause.Pkey_violation_load vaddr
-    | A_store when write_disabled ->
-      translate_fault m Cause.Pkey_violation_store vaddr
-    | A_fetch | A_load | A_store ->
-      (e.ppn lsl page_shift) lor (vaddr land 0xFFF)
-  end
-  else (e.ppn lsl page_shift) lor (vaddr land 0xFFF)
-
-(* Translate [vaddr] for [access] in the current address space.
-   Returns the physical address, or -1 with the cause in
-   [m.xlate_cause] (and the address in [m.fault_vaddr]).  Metal mode
-   skips page-key checks (mroutines are fully privileged). *)
-let translate m ~access ~metal vaddr =
-  if m.ctrl.(Csr.paging) land 1 = 0 then vaddr
-  else begin
-    let asid = m.ctrl.(Csr.asid) land 0xFF in
-    let vpn = vaddr lsr Metal_hw.Tlb.page_shift in
-    match Metal_hw.Tlb.lookup m.tlb ~asid ~vpn with
-    | Some e ->
-      m.stats.Stats.tlb_hits <- m.stats.Stats.tlb_hits + 1;
-      check_entry m ~access ~metal vaddr e
-    | None ->
-      m.stats.Stats.tlb_misses <- m.stats.Stats.tlb_misses + 1;
-      emit m Ev.tlb_miss vaddr
-        (match access with A_fetch -> 0 | A_load -> 1 | A_store -> 2);
-      if m.ctrl.(Csr.hw_walker) land 1 = 1 then
-        match hw_walk m ~vpn ~asid with
-        | Some e ->
-          Metal_hw.Tlb.insert m.tlb e;
-          check_entry m ~access ~metal vaddr e
-        | None -> translate_fault m (fault_of_access access) vaddr
-      else translate_fault m (fault_of_access access) vaddr
-  end
-
-(* Charge a cache access: a miss stalls the pipe for the cache's
-   penalty.  [count] attributes the stall to the right statistic. *)
-let charge_cache m cache ~addr ~fetch =
-  match cache with
-  | None -> ()
-  | Some c ->
-    if not (Metal_hw.Cache.access c ~addr) then begin
-      let p = (Metal_hw.Cache.config c).Metal_hw.Cache.miss_penalty in
-      m.stall_cycles <- m.stall_cycles + p;
-      if fetch then begin
-        m.stats.Stats.fetch_stall_cycles <-
-          m.stats.Stats.fetch_stall_cycles + p;
-        emit m Ev.stall_begin Ev.stall_fetch_cache p
-      end
-      else begin
-        m.stats.Stats.mem_stall_cycles <- m.stats.Stats.mem_stall_cycles + p;
-        emit m Ev.stall_begin Ev.stall_data_cache p
-      end
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Event delivery                                                      *)
-
-let flush_all m =
+(* The [~squash] action handed to [Semantics]: invalidate every latch,
+   MEM/WB included. *)
+let squash m =
   m.if_id.fvalid <- false;
   m.id_ex.dvalid <- false;
   m.ex_mem.xvalid <- false;
-  m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
-  emit m Ev.flush Ev.flush_event 0
-
-let redirect m ~target ~metal =
-  m.fetch_pc <- Word.of_int target;
-  m.fetch_metal <- metal;
-  m.fetch_frozen <- false
-
-(* Enter the mroutine registered as handler [handler_value] (stored as
-   entry+1), writing [writes] into the Metal register file.  Fails the
-   whole machine when the configuration is inconsistent. *)
-let deliver_to_mroutine m ~handler_value ~writes ~reason ~on_missing =
-  let entry = handler_value - 1 in
-  match Metal_hw.Mram.entry_addr m.mram entry with
-  | None ->
-    m.halted <- Some on_missing;
-    false
-  | Some target ->
-    List.iter (fun (mr, v) -> set_mreg m mr v) writes;
-    flush_all m;
-    m.wb_rd <- 0;
-    redirect m ~target ~metal:true;
-    emit m Ev.mode_enter entry reason;
-    true
-
-let raise_exception m ~cause ~epc ~tval ~metal =
-  m.stats.Stats.exceptions <- m.stats.Stats.exceptions + 1;
-  m.fault_cause <- Cause.code cause;
-  emit m Ev.exn (Cause.code cause) tval;
-  if m.config.Config.trace then
-    add_trace m ~cycle:m.stats.Stats.cycles
-      (Printf.sprintf "exception %s at %s tval=%s" (Cause.to_string cause)
-         (Word.to_hex epc) (Word.to_hex tval));
-  if metal then begin
-    m.halted <- Some (Halt_metal_fault { cause; pc = epc; info = tval });
-    m.wb_rd <- 0
-  end
-  else begin
-    let handler_value = m.ctrl.(Csr.exc_handler cause) in
-    if handler_value = 0 then begin
-      m.halted <- Some (Halt_fault { cause; pc = epc; info = tval });
-      m.wb_rd <- 0
-    end
-    else begin
-      let writes =
-        [ (Reg.Mconv.return_address, Word.of_int epc);
-          (Reg.Mconv.event_cause, Cause.code cause);
-          (Reg.Mconv.event_value, tval) ]
-      in
-      ignore
-        (deliver_to_mroutine m ~handler_value ~writes
-           ~reason:Ev.reason_exception
-           ~on_missing:
-             (Halt_fault { cause; pc = epc; info = tval }))
-    end
-  end
+  m.wb_rd <- 0
 
 (* ------------------------------------------------------------------ *)
 (* MEM stage                                                           *)
-
-let width_alignment = function Instr.Byte -> 0 | Instr.Half -> 1 | Instr.Word -> 3
-
-let sign_extend_load ~width ~unsigned v =
-  match (width, unsigned) with
-  | Instr.Byte, false -> Word.of_int (Word.sign_extend ~width:8 v)
-  | Instr.Half, false -> Word.of_int (Word.sign_extend ~width:16 v)
-  | (Instr.Byte | Instr.Half), true | Instr.Word, _ -> v
-
-let retire m =
-  let x = m.ex_mem in
-  let stats = m.stats in
-  stats.Stats.instructions <- stats.Stats.instructions + 1;
-  if x.xmetal then
-    stats.Stats.metal_instructions <- stats.Stats.metal_instructions + 1;
-  emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-  if m.config.Config.trace then
-    add_trace m ~cycle:stats.Stats.cycles
-      (Printf.sprintf "retire %s%s %s" (Word.to_hex x.xpc)
-         (if x.xmetal then " M" else "  ")
-         (match x.xuop with
-          | U_instr i -> Instr.to_string i
-          | U_event { kind = Event_menter e; _ } ->
-            Printf.sprintf "<menter %d>" e
-          | U_event { kind = Event_intercept c; _ } ->
-            Printf.sprintf "<intercept %s>" (Icept.to_string c)
-          | U_poison _ -> "<poison>"))
 
 let mem_writeback m rd value =
   if rd = 0 then m.wb_rd <- 0
@@ -298,173 +58,21 @@ let mem_writeback m rd value =
     m.wb_rd <- rd;
     m.wb_value <- value
   end;
-  retire m;
+  let x = m.ex_mem in
+  S.retire m ~pc:x.xpc ~metal:x.xmetal x.xuop;
   true
 
 let mem_no_writeback m =
   m.wb_rd <- 0;
-  retire m;
+  let x = m.ex_mem in
+  S.retire m ~pc:x.xpc ~metal:x.xmetal x.xuop;
   true
 
 let mem_except m cause tval =
   let x = m.ex_mem in
   m.wb_rd <- 0;
-  raise_exception m ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
+  S.raise_exception m ~squash ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
   false
-
-let charge_mem_latency m =
-  let l = m.config.Config.mem_latency in
-  if l > 0 then begin
-    m.stall_cycles <- m.stall_cycles + l;
-    m.stats.Stats.mem_stall_cycles <- m.stats.Stats.mem_stall_cycles + l;
-    emit m Ev.stall_begin Ev.stall_mem_latency l
-  end
-
-(* One extra stall cycle for the in-line SECDED verify on the MRAM
-   data read port ([mld] with Config.ecc armed); the m-register read
-   path is modeled combinational and charges nothing.  Mirrors
-   [charge_mem_latency], and Wcost.instr accounts for it. *)
-let charge_ecc_check m =
-  m.stall_cycles <- m.stall_cycles + 1;
-  m.stats.Stats.mem_stall_cycles <- m.stats.Stats.mem_stall_cycles + 1;
-  emit m Ev.stall_begin Ev.stall_ecc_check 1
-
-(* A pipeline store that landed in physical memory: tell the predecode
-   and block caches so they can invalidate precisely instead of
-   flushing. *)
-let note_store m pa =
-  if Metal_hw.Phys_mem.in_range (Metal_hw.Bus.memory m.bus) ~addr:pa ~width:1
-  then begin
-    if m.use_predecode then P.note_phys_store m.predecode ~addr:pa;
-    if m.use_blocks then Blockcache.note_phys_store m.blockcache ~addr:pa
-  end
-
-let do_mem_metal m (x : executed) mi =
-  let stats = m.stats in
-  match mi with
-  | Instr.Mld { rd; _ } ->
-    if m.config.Config.ecc then begin
-      match Metal_hw.Mram.load_word_checked m.mram ~addr:x.alu with
-      | None -> mem_except m Cause.Access_fault x.alu
-      | Some (v, st) ->
-        charge_ecc_check m;
-        (match st with
-         | Metal_hw.Ecc.Clean -> mem_writeback m rd v
-         | Metal_hw.Ecc.Corrected _ ->
-           emit m Ev.ecc_correct 0 x.alu;
-           mem_writeback m rd v
-         | Metal_hw.Ecc.Uncorrectable ->
-           mem_except m Cause.Ecc_uncorrectable x.alu)
-    end
-    else begin match Metal_hw.Mram.load_word m.mram ~addr:x.alu with
-    | Some v -> mem_writeback m rd v
-    | None -> mem_except m Cause.Access_fault x.alu
-    end
-  | Instr.Mst _ ->
-    if Metal_hw.Mram.store_word m.mram ~addr:x.alu x.sval then begin
-      if m.use_predecode then P.note_mram_store m.predecode;
-      mem_no_writeback m
-    end
-    else mem_except m Cause.Access_fault x.alu
-  | Instr.Rmr { rd; mr } ->
-    if m.config.Config.ecc then begin
-      match get_mreg_checked m mr with
-      | v, Metal_hw.Ecc.Clean -> mem_writeback m rd v
-      | v, Metal_hw.Ecc.Corrected _ ->
-        emit m Ev.ecc_correct 1 mr;
-        mem_writeback m rd v
-      | _, Metal_hw.Ecc.Uncorrectable ->
-        mem_except m Cause.Ecc_uncorrectable mr
-    end
-    else mem_writeback m rd (get_mreg m mr)
-  | Instr.Wmr { mr; _ } ->
-    set_mreg m mr x.alu;
-    mem_no_writeback m
-  | Instr.Menter { entry } ->
-    (* Slow-path (trap-style) Metal entry; the fast path consumes
-       menter at decode and never reaches here. *)
-    begin match Metal_hw.Mram.entry_addr m.mram entry with
-    | None -> mem_except m Cause.Illegal_instruction 0
-    | Some target ->
-      set_mreg m Reg.Mconv.return_address (Word.add x.xpc 4);
-      stats.Stats.menters <- stats.Stats.menters + 1;
-      stats.Stats.instructions <- stats.Stats.instructions + 1;
-      emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-      flush_all m;
-      m.wb_rd <- 0;
-      redirect m ~target ~metal:true;
-      emit m Ev.mode_enter entry Ev.reason_menter_trap;
-      false
-    end
-  | Instr.Mexit when m.config.Config.ecc
-                     && (match get_mreg_checked m Reg.Mconv.return_address with
-                         | _, Metal_hw.Ecc.Uncorrectable -> true
-                         | _ -> false) ->
-    mem_except m Cause.Ecc_uncorrectable Reg.Mconv.return_address
-  | Instr.Mexit ->
-    if m.config.Config.ecc then begin
-      match get_mreg_checked m Reg.Mconv.return_address with
-      | _, Metal_hw.Ecc.Corrected _ ->
-        emit m Ev.ecc_correct 1 Reg.Mconv.return_address
-      | _ -> ()
-    end;
-    let target = get_mreg m Reg.Mconv.return_address in
-    stats.Stats.mexits <- stats.Stats.mexits + 1;
-    stats.Stats.instructions <- stats.Stats.instructions + 1;
-    if x.xmetal then
-      stats.Stats.metal_instructions <- stats.Stats.metal_instructions + 1;
-    emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-    flush_all m;
-    m.wb_rd <- 0;
-    redirect m ~target ~metal:false;
-    emit m Ev.mode_exit target 0;
-    false
-  | Instr.Feature f ->
-    begin match f with
-    | Instr.Physld { rd; _ } ->
-      if x.alu land 3 <> 0 then mem_except m Cause.Misaligned_load x.alu
-      else begin
-        charge_mem_latency m;
-        match Metal_hw.Bus.load m.bus ~width:Instr.Word ~addr:x.alu with
-        | Ok v -> mem_writeback m rd v
-        | Error cause -> mem_except m cause x.alu
-      end
-    | Instr.Physst _ ->
-      if x.alu land 3 <> 0 then mem_except m Cause.Misaligned_store x.alu
-      else begin
-        charge_mem_latency m;
-        match Metal_hw.Bus.store m.bus ~width:Instr.Word ~addr:x.alu x.sval with
-        | Ok () ->
-          note_store m x.alu;
-          mem_no_writeback m
-        | Error cause -> mem_except m cause x.alu
-      end
-    | Instr.Tlbw _ ->
-      Metal_hw.Tlb.insert_packed m.tlb ~tag:x.alu ~data:x.sval;
-      mem_no_writeback m
-    | Instr.Tlbflush _ ->
-      if x.alu = Word.mask then Metal_hw.Tlb.flush_all m.tlb
-      else Metal_hw.Tlb.flush_asid m.tlb ~asid:(x.alu land 0xFF);
-      mem_no_writeback m
-    | Instr.Tlbprobe { rd; _ } ->
-      let asid = m.ctrl.(Csr.asid) land 0xFF in
-      mem_writeback m rd (Metal_hw.Tlb.probe_packed m.tlb ~asid ~vaddr:x.alu)
-    | Instr.Gprr { rd; _ } -> mem_writeback m rd m.regs.(x.alu land 31)
-    | Instr.Gprw _ ->
-      let idx = x.alu land 31 in
-      if idx <> 0 then m.regs.(idx) <- x.sval;
-      mem_no_writeback m
-    | Instr.Iceptset _ ->
-      ctrl_write m (Csr.icept_handler (x.alu land 15)) (x.sval + 1);
-      mem_no_writeback m
-    | Instr.Iceptclr _ ->
-      ctrl_write m (Csr.icept_handler (x.alu land 15)) 0;
-      mem_no_writeback m
-    | Instr.Mcsrr { rd; csr } -> mem_writeback m rd (ctrl_read m csr)
-    | Instr.Mcsrw { csr; _ } ->
-      ctrl_write m csr x.alu;
-      mem_no_writeback m
-    end
 
 (* Returns [true] when the cycle may continue through EX/ID/IF;
    [false] when MEM flushed the pipe (exception or slow-path
@@ -478,80 +86,62 @@ let do_mem m =
   end
   else
     match x.xuop with
-    | U_poison { cause; tval } ->
-      m.wb_rd <- 0;
-      raise_exception m ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
-      false
+    | U_poison { cause; tval } -> mem_except m cause tval
     | U_event { kind; writes } ->
-      List.iter (fun (mr, v) -> set_mreg m mr v) writes;
-      begin match kind with
-      | Event_menter _ -> m.stats.Stats.menters <- m.stats.Stats.menters + 1
-      | Event_intercept _ ->
-        m.stats.Stats.intercepts <- m.stats.Stats.intercepts + 1
-      end;
+      S.commit_event m kind writes;
       mem_no_writeback m
     | U_instr instr ->
       begin match instr with
       | Instr.Load { width; unsigned; rd; _ } ->
         let vaddr = x.alu in
-        if vaddr land width_alignment width <> 0 then
+        if vaddr land S.width_alignment width <> 0 then
           mem_except m Cause.Misaligned_load vaddr
         else begin
-          let pa = translate m ~access:A_load ~metal:x.xmetal vaddr in
+          let pa = S.translate m ~access:S.A_load ~metal:x.xmetal vaddr in
           if pa < 0 then mem_except m m.xlate_cause vaddr
           else begin
-            charge_mem_latency m;
-            charge_cache m m.dcache ~addr:pa ~fetch:false;
+            S.charge_mem_latency m;
+            S.charge_cache m m.dcache ~addr:pa ~fetch:false;
             match Metal_hw.Bus.load m.bus ~width ~addr:pa with
             | Error cause -> mem_except m cause vaddr
-            | Ok v -> mem_writeback m rd (sign_extend_load ~width ~unsigned v)
+            | Ok v ->
+              mem_writeback m rd (S.sign_extend_load ~width ~unsigned v)
           end
         end
       | Instr.Store { width; _ } ->
         let vaddr = x.alu in
-        if vaddr land width_alignment width <> 0 then
+        if vaddr land S.width_alignment width <> 0 then
           mem_except m Cause.Misaligned_store vaddr
         else begin
-          let pa = translate m ~access:A_store ~metal:x.xmetal vaddr in
+          let pa = S.translate m ~access:S.A_store ~metal:x.xmetal vaddr in
           if pa < 0 then mem_except m m.xlate_cause vaddr
           else begin
-            charge_mem_latency m;
-            charge_cache m m.dcache ~addr:pa ~fetch:false;
+            S.charge_mem_latency m;
+            S.charge_cache m m.dcache ~addr:pa ~fetch:false;
             match Metal_hw.Bus.store m.bus ~width ~addr:pa x.sval with
             | Error cause -> mem_except m cause vaddr
             | Ok () ->
-              note_store m pa;
+              S.note_store m pa;
               mem_no_writeback m
           end
         end
-      | Instr.Metal mi -> do_mem_metal m x mi
+      | Instr.Metal mi ->
+        S.mem_metal m mi ~pc:x.xpc ~metal:x.xmetal ~alu:x.alu ~sval:x.sval
+          ~writeback:mem_writeback ~no_writeback:mem_no_writeback
+          ~except:mem_except ~squash
       | Instr.Ecall -> mem_except m Cause.Ecall 0
       | Instr.Ebreak ->
         if (not x.xmetal) && m.ctrl.(Csr.exc_handler Cause.Breakpoint) <> 0
         then mem_except m Cause.Breakpoint 0
         else begin
-          retire m;
+          S.retire m ~pc:x.xpc ~metal:x.xmetal x.xuop;
           m.wb_rd <- 0;
           m.halted <- Some (Halt_ebreak { pc = x.xpc; metal = x.xmetal });
           false
         end
-      | Instr.Jal { rd; offset } ->
+      | Instr.Jal { rd; _ } | Instr.Jalr { rd; _ } ->
         let ok = mem_writeback m rd x.alu in
-        (* Call/return hints for the profiler, per the RISC-V calling
-           convention: linking through ra/t0 marks a call; jalr x0 via
-           ra/t0 marks a return.  Classified at retire (past any
-           squash) so both steppers emit identical streams; gated on
-           [probe_on] so the disabled path stays one load-and-branch. *)
-        if m.probe_on && (rd = 1 || rd = 5) then
-          emit m Ev.call (Word.add x.xpc offset) x.xpc;
-        ok
-      | Instr.Jalr { rd; rs1; _ } ->
-        let ok = mem_writeback m rd x.alu in
-        if m.probe_on then begin
-          if rd = 1 || rd = 5 then emit m Ev.call x.sval x.xpc
-          else if rd = 0 && (rs1 = 1 || rs1 = 5) then
-            emit m Ev.ret x.sval x.xpc
-        end;
+        S.link_hint m instr ~pc:x.xpc ~sval:x.sval;
         ok
       | Instr.Lui { rd; _ } | Instr.Auipc { rd; _ }
       | Instr.Op_imm { rd; _ } | Instr.Op { rd; _ } ->
@@ -561,28 +151,6 @@ let do_mem m =
 
 (* ------------------------------------------------------------------ *)
 (* EX stage                                                            *)
-
-let alu_compute op a b =
-  match op with
-  | Instr.Add -> Word.add a b
-  | Instr.Sub -> Word.sub a b
-  | Instr.Sll -> Word.shift_left a b
-  | Instr.Slt -> if Word.lt_signed a b then 1 else 0
-  | Instr.Sltu -> if Word.lt_unsigned a b then 1 else 0
-  | Instr.Xor -> Word.logxor a b
-  | Instr.Srl -> Word.shift_right_logical a b
-  | Instr.Sra -> Word.shift_right_arith a b
-  | Instr.Or -> Word.logor a b
-  | Instr.And -> Word.logand a b
-
-let branch_taken cond a b =
-  match cond with
-  | Instr.Beq -> a = b
-  | Instr.Bne -> a <> b
-  | Instr.Blt -> Word.lt_signed a b
-  | Instr.Bge -> Word.ge_signed a b
-  | Instr.Bltu -> Word.lt_unsigned a b
-  | Instr.Bgeu -> Word.ge_unsigned a b
 
 (* Process the EX stage, filling [m.ex_mem] in place from [m.id_ex].
    Forwarding sources are passed as scalars snapshotted before MEM
@@ -639,7 +207,7 @@ let do_ex m ~fw_rd ~fw_val ~wb_rd ~wb_val =
         x.sval <- target;
         (target lsl 1) lor (if d.dmetal then 1 else 0)
       | Instr.Branch { cond; offset; _ } ->
-        if branch_taken cond rv1 rv2 then
+        if S.branch_taken cond rv1 rv2 then
           (Word.add d.dpc offset lsl 1) lor (if d.dmetal then 1 else 0)
         else -1
       | Instr.Load { offset; _ } ->
@@ -650,10 +218,10 @@ let do_ex m ~fw_rd ~fw_val ~wb_rd ~wb_val =
         x.sval <- rv2;
         -1
       | Instr.Op_imm { op; imm; _ } ->
-        x.alu <- alu_compute op rv1 (Word.of_int imm);
+        x.alu <- S.alu_compute op rv1 (Word.of_int imm);
         -1
       | Instr.Op { op; _ } ->
-        x.alu <- alu_compute op rv1 rv2;
+        x.alu <- S.alu_compute op rv1 rv2;
         -1
       | Instr.Ecall | Instr.Ebreak | Instr.Fence -> -1
       | Instr.Metal mi ->
@@ -685,43 +253,6 @@ let do_ex m ~fw_rd ~fw_val ~wb_rd ~wb_val =
 (* ------------------------------------------------------------------ *)
 (* ID stage                                                            *)
 
-(* Interception is considered only for normal-mode instructions with a
-   registered handler and the global enable bit set. *)
-let intercept_handler m instr =
-  if m.ctrl.(Csr.icept_enable) land 1 = 0 then None
-  else
-    match Icept.classify instr with
-    | None -> None
-    | Some cls ->
-      let v = m.ctrl.(Csr.icept_handler (Icept.code cls)) in
-      if v = 0 then None else Some (cls, v)
-
-(* Source registers by encoding position (x0 allowed): forwarding and
-   the interception interlock need rs1/rs2 positionally. *)
-let sources_of instr =
-  match instr with
-  | Instr.Jalr { rs1; _ } | Instr.Load { rs1; _ } | Instr.Op_imm { rs1; _ } ->
-    (rs1, 0)
-  | Instr.Branch { rs1; rs2; _ } | Instr.Op { rs1; rs2; _ }
-  | Instr.Store { rs1; rs2; _ } -> (rs1, rs2)
-  | Instr.Metal m ->
-    begin match m with
-    | Instr.Wmr { rs1; _ } | Instr.Mld { rs1; _ } -> (rs1, 0)
-    | Instr.Mst { rs1; rs2; _ } -> (rs1, rs2)
-    | Instr.Menter _ | Instr.Mexit | Instr.Rmr _ -> (0, 0)
-    | Instr.Feature f ->
-      begin match f with
-      | Instr.Physld { rs1; _ } | Instr.Tlbflush { rs1 }
-      | Instr.Tlbprobe { rs1; _ } | Instr.Gprr { rs1; _ }
-      | Instr.Iceptclr { rs1 } | Instr.Mcsrw { rs1; _ } -> (rs1, 0)
-      | Instr.Physst { rs1; rs2; _ } | Instr.Tlbw { rs1; rs2 }
-      | Instr.Gprw { rs1; rs2 } | Instr.Iceptset { rs1; rs2 } -> (rs1, rs2)
-      | Instr.Mcsrr _ -> (0, 0)
-      end
-    end
-  | Instr.Lui _ | Instr.Auipc _ | Instr.Jal _ | Instr.Ecall | Instr.Ebreak
-  | Instr.Fence -> (0, 0)
-
 (* Decode [f.word] into the latch's predecode slots (the ablation path
    when the predecode cache is off, and uncacheable fetches).  Also
    folds in the mode-legality check: Metal instructions other than
@@ -736,14 +267,8 @@ let decode_into (f : fetched) =
      f.frs1 <- 0;
      f.frs2 <- 0
    | Ok instr ->
-     let legal =
-       match instr with
-       | Instr.Metal (Instr.Menter _) -> not f.fmetal
-       | Instr.Metal _ -> f.fmetal
-       | _ -> true
-     in
-     let rs1, rs2 = sources_of instr in
-     f.flegal <- legal;
+     let rs1, rs2 = S.sources_of instr in
+     f.flegal <- S.legal_in_mode instr ~metal:f.fmetal;
      f.finstr <- instr;
      f.fuop <- U_instr instr;
      f.frs1 <- rs1;
@@ -789,8 +314,8 @@ let do_id m ~exm_wr_rd ~exm_wmreg =
        ID/EX latch, about to be overwritten in place). *)
     let old_valid = d.dvalid in
     let old_dst = if old_valid then uop_dst d.duop else 0 in
-    let old_at_mem = old_valid && uop_produces_at_mem d.duop in
-    let old_wmreg = old_valid && uop_writes_mreg d.duop in
+    let old_at_mem = old_valid && S.uop_produces_at_mem d.duop in
+    let old_wmreg = old_valid && S.uop_writes_mreg d.duop in
     match f.ffault with
     | Some cause ->
       id_set_poison d f cause f.fpc;
@@ -814,7 +339,7 @@ let do_id m ~exm_wr_rd ~exm_wmreg =
           id_stall
         end
         else begin
-          match intercept_handler m instr with
+          match S.intercept_handler m instr with
           | Some (cls, handler_value) when not f.fmetal ->
             (* Interception needs fresh operand values at decode. *)
             if (old_dst <> 0 && (old_dst = rs1 || old_dst = rs2))
@@ -833,29 +358,9 @@ let do_id m ~exm_wr_rd ~exm_wmreg =
                 id_set_poison d f Cause.Illegal_instruction f.word;
                 id_pass
               | Some target ->
-                let eff_addr, store_val, rd_idx =
-                  match instr with
-                  | Instr.Load { rs1 = _; offset; rd; _ } ->
-                    (Word.add rv1 offset, 0, rd)
-                  | Instr.Store { offset; _ } ->
-                    (Word.add rv1 offset, rv2, 0)
-                  | Instr.Jalr { offset; rd; _ } ->
-                    (Word.logand (Word.add rv1 offset) (Word.lognot 1),
-                     0, rd)
-                  | Instr.Jal { offset; rd } ->
-                    (Word.add f.fpc offset, 0, rd)
-                  | Instr.Branch { offset; _ } ->
-                    (Word.add f.fpc offset, 0, 0)
-                  | _ -> (0, 0, 0)
-                in
                 let writes =
-                  [ (Reg.Mconv.return_address, Word.of_int f.fpc);
-                    (Reg.Mconv.event_cause,
-                     Cause.intercept_code (Icept.code cls));
-                    (Reg.Mconv.event_value, f.word);
-                    (Reg.Mconv.event_addr, eff_addr);
-                    (Reg.Mconv.event_store_value, store_val);
-                    (Reg.Mconv.event_rd, rd_idx) ]
+                  S.intercept_writes cls instr ~pc:f.fpc ~word:f.word ~rv1
+                    ~rv2
                 in
                 id_set_dec d f
                   (U_event { kind = Event_intercept cls; writes })
@@ -894,17 +399,7 @@ let do_id m ~exm_wr_rd ~exm_wmreg =
                 id_stall
               end
               else begin
-                let ecc_dead =
-                  m.config.Config.ecc
-                  &&
-                  match get_mreg_checked m Reg.Mconv.return_address with
-                  | _, Metal_hw.Ecc.Uncorrectable -> true
-                  | _, Metal_hw.Ecc.Corrected _ ->
-                    emit m Ev.ecc_correct 1 Reg.Mconv.return_address;
-                    false
-                  | _, Metal_hw.Ecc.Clean -> false
-                in
-                if ecc_dead then begin
+                if S.mexit_return_lost m then begin
                   (* The return address is unrecoverable: route the
                      typed fault to MEM like any other decode-stage
                      poison instead of jumping to garbage. *)
@@ -980,14 +475,8 @@ let fill_entry (e : uop P.entry) ~tag ~metal word =
     e.P.rs1 <- 0;
     e.P.rs2 <- 0
   | Ok instr ->
-    let legal =
-      match instr with
-      | Instr.Metal (Instr.Menter _) -> not metal
-      | Instr.Metal _ -> metal
-      | _ -> true
-    in
-    let rs1, rs2 = sources_of instr in
-    e.P.legal <- legal;
+    let rs1, rs2 = S.sources_of instr in
+    e.P.legal <- S.legal_in_mode instr ~metal;
     e.P.instr <- instr;
     e.P.uop <- U_instr instr;
     e.P.rs1 <- rs1;
@@ -998,30 +487,7 @@ let do_if m =
   else begin
     let pc = m.fetch_pc in
     if m.fetch_metal then begin
-      begin match m.config.Config.mram_backing with
-      | Config.Main_memory { fetch_penalty } ->
-        (* Main-memory-resident mroutines (the PALcode model) fetch
-           through the instruction cache — filling, and polluting, it.
-           Dedicated MRAM below bypasses the cache entirely. *)
-        begin match m.icache with
-        | Some c ->
-          if not (Metal_hw.Cache.access c ~addr:(0x4000_0000 lor pc))
-          then begin
-            m.stall_cycles <- m.stall_cycles + fetch_penalty;
-            m.stats.Stats.fetch_stall_cycles <-
-              m.stats.Stats.fetch_stall_cycles + fetch_penalty;
-            emit m Ev.stall_begin Ev.stall_mram_fetch fetch_penalty
-          end
-        | None ->
-          if fetch_penalty > 0 then begin
-            m.stall_cycles <- m.stall_cycles + fetch_penalty;
-            m.stats.Stats.fetch_stall_cycles <-
-              m.stats.Stats.fetch_stall_cycles + fetch_penalty;
-            emit m Ev.stall_begin Ev.stall_mram_fetch fetch_penalty
-          end
-        end
-      | Config.Dedicated -> ()
-      end;
+      S.charge_mram_fetch m ~pc;
       if m.use_predecode then begin
         let p = m.predecode in
         P.sync_mram p ~version:(Metal_hw.Mram.version m.mram);
@@ -1048,10 +514,10 @@ let do_if m =
     end
     else if pc land 3 <> 0 then if_set_fault m Cause.Misaligned_fetch
     else begin
-      let pa = translate m ~access:A_fetch ~metal:false pc in
+      let pa = S.translate m ~access:S.A_fetch ~metal:false pc in
       if pa < 0 then if_set_fault m m.xlate_cause
       else begin
-        charge_cache m m.icache ~addr:pa ~fetch:true;
+        S.charge_cache m m.icache ~addr:pa ~fetch:true;
         if m.use_predecode then begin
           let mem = Metal_hw.Bus.memory m.bus in
           let p = m.predecode in
@@ -1121,32 +587,11 @@ let try_interrupt m =
           else if m.if_id.fvalid then m.if_id.fpc
           else m.fetch_pc
         in
-        let writes =
-          [ (Reg.Mconv.return_address, Word.of_int epc);
-            (Reg.Mconv.event_cause, Cause.interrupt_code irq) ]
-        in
-        m.stats.Stats.interrupts <- m.stats.Stats.interrupts + 1;
-        emit m Ev.interrupt irq epc;
-        if m.config.Config.trace then
-          add_trace m ~cycle:m.stats.Stats.cycles
-            (Printf.sprintf "interrupt %d delivered, resume %s" irq
-               (Word.to_hex epc));
-        deliver_to_mroutine m ~handler_value ~writes
-          ~reason:Ev.reason_interrupt
-          ~on_missing:
-            (Halt_fault
-               { cause = Cause.Access_fault; pc = epc; info = irq })
+        S.deliver_interrupt m ~squash ~irq ~handler_value ~epc
       end
 
 (* ------------------------------------------------------------------ *)
 (* Cycle driver                                                        *)
-
-let timer_tick m =
-  let cmp = m.ctrl.(Csr.timer_cmp) in
-  if cmp <> 0 && m.stats.Stats.cycles >= cmp then begin
-    Metal_hw.Intc.raise_irq m.intc Metal_hw.Intc.timer_irq;
-    m.ctrl.(Csr.timer_cmp) <- 0
-  end
 
 (* The MEM→IF half of a cycle, after the register-file writeback has
    already happened with the MEM/WB scalars passed in.  Shared between
@@ -1155,10 +600,10 @@ let timer_tick m =
 let cycle_after_wb m ~wb_rd ~wb_val =
   let x = m.ex_mem in
   let x_dst = if x.xvalid then uop_dst x.xuop else 0 in
-  let x_at_mem = x.xvalid && uop_produces_at_mem x.xuop in
+  let x_at_mem = x.xvalid && S.uop_produces_at_mem x.xuop in
   let fw_rd = if x_at_mem then 0 else x_dst in
   let fw_val = x.alu in
-  let exm_wmreg = x.xvalid && uop_writes_mreg x.xuop in
+  let exm_wmreg = x.xvalid && S.uop_writes_mreg x.xuop in
   if try_interrupt m then ()
   else if not (do_mem m) then ()
   else begin
@@ -1168,13 +613,13 @@ let cycle_after_wb m ~wb_rd ~wb_val =
       m.if_id.fvalid <- false;
       m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
       emit m Ev.flush Ev.flush_redirect 0;
-      redirect m ~target:(r lsr 1) ~metal:(r land 1 = 1)
+      S.redirect m ~target:(r lsr 1) ~metal:(r land 1 = 1)
     end
     else begin
       let c = do_id m ~exm_wr_rd:x_dst ~exm_wmreg in
       if c = id_pass then do_if m
       else if c >= 0 then begin
-        redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
+        S.redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
         if c land 1 = 1 then do_if m else m.if_id.fvalid <- false
       end
       (* c = id_stall: keep IF/ID, no fetch this cycle. *)
@@ -1197,7 +642,7 @@ let step_fast m =
   | Some _ -> ()
   | None ->
     m.stats.Stats.cycles <- m.stats.Stats.cycles + 1;
-    timer_tick m;
+    S.timer_tick m;
     Metal_hw.Bus.tick m.bus ~cycle:m.stats.Stats.cycles;
     if m.stall_cycles > 0 then begin
       m.stall_cycles <- m.stall_cycles - 1;
@@ -1250,7 +695,7 @@ let mk_slot ~prev word instr =
     in
     Some
       { B.cls; rd; rs1; rs2; imm; op; cond; width; unsigned;
-        amask = width_alignment width;
+        amask = S.width_alignment width;
         wbytes =
           (match width with Instr.Byte -> 1 | Instr.Half -> 2 | Instr.Word -> 4);
         at_mem = cls = B.cls_load;
@@ -1415,7 +860,7 @@ let feed_if m (b : uop B.block) vbase ~paging ~gen0 =
    hitting) TLB lookup and predecode probe. *)
 let fed_cycle m (b : uop B.block) vbase ~paging ~gen0 =
   m.stats.Stats.cycles <- m.stats.Stats.cycles + 1;
-  timer_tick m;
+  S.timer_tick m;
   Metal_hw.Bus.tick m.bus ~cycle:m.stats.Stats.cycles;
   if m.stall_cycles > 0 then begin
     m.stall_cycles <- m.stall_cycles - 1;
@@ -1428,10 +873,10 @@ let fed_cycle m (b : uop B.block) vbase ~paging ~gen0 =
     m.wb_rd <- 0;
     let x = m.ex_mem in
     let x_dst = if x.xvalid then uop_dst x.xuop else 0 in
-    let x_at_mem = x.xvalid && uop_produces_at_mem x.xuop in
+    let x_at_mem = x.xvalid && S.uop_produces_at_mem x.xuop in
     let fw_rd = if x_at_mem then 0 else x_dst in
     let fw_val = x.alu in
-    let exm_wmreg = x.xvalid && uop_writes_mreg x.xuop in
+    let exm_wmreg = x.xvalid && S.uop_writes_mreg x.xuop in
     if try_interrupt m then ()
     else if not (do_mem m) then ()
     else begin
@@ -1441,13 +886,13 @@ let fed_cycle m (b : uop B.block) vbase ~paging ~gen0 =
         m.if_id.fvalid <- false;
         m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
         emit m Ev.flush Ev.flush_redirect 0;
-        redirect m ~target:(r lsr 1) ~metal:(r land 1 = 1)
+        S.redirect m ~target:(r lsr 1) ~metal:(r land 1 = 1)
       end
       else begin
         let c = do_id m ~exm_wr_rd:x_dst ~exm_wmreg in
         if c = id_pass then feed_if m b vbase ~paging ~gen0
         else if c >= 0 then begin
-          redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
+          S.redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
           if c land 1 = 1 then feed_if m b vbase ~paging ~gen0
           else m.if_id.fvalid <- false
         end
@@ -1567,7 +1012,7 @@ let compiled_mem m (b : uop B.block) ~fetch_page ~paging ~gen0 ~asid ~perms
               if s.B.rd = 0 then 0
               else
                 (s.B.rd lsl 32)
-                lor sign_extend_load ~width:s.B.width ~unsigned:s.B.unsigned
+                lor S.sign_extend_load ~width:s.B.width ~unsigned:s.B.unsigned
                       raw
             end
             else begin
@@ -1575,7 +1020,7 @@ let compiled_mem m (b : uop B.block) ~fetch_page ~paging ~gen0 ~asid ~perms
                | Instr.Word -> Metal_hw.Phys_mem.write32 mem pa mem_sval
                | Instr.Half -> Metal_hw.Phys_mem.write16 mem pa mem_sval
                | Instr.Byte -> Metal_hw.Phys_mem.write8 mem pa mem_sval);
-              note_store m pa;
+              S.note_store m pa;
               (* A store into the currently-fetching block's page: the
                  rest of this cycle (the fetch) and the next cycle
                  boundary must see the invalidation. *)
@@ -1699,7 +1144,7 @@ let rec compiled_cycle m (b : uop B.block) vbase ~(mb : uop B.block)
             finish_cycle m b vbase ~paging ~gen0 ~asid ~perms ~enabled
               ~deadline ~cyc0 ~nmem_i:ex_i
               ~nmem_alu:
-                (alu_compute s.B.op rv1
+                (S.alu_compute s.B.op rv1
                    (if cls = B.cls_op then rv2 else s.B.imm))
               ~nmem_sval:0 ~ex_i ~ex_rv1 ~ex_rv2 ~id_i ~fi ~nwb_rd
               ~nwb_val ~smc ~x_dst_pre
@@ -1731,7 +1176,7 @@ let rec compiled_cycle m (b : uop B.block) vbase ~(mb : uop B.block)
               ~nmem_alu:(Word.add (vbase + (ex_i lsl 2)) 4) ~nmem_sval:0
               ~ex_i ~ex_rv1 ~ex_rv2 ~id_i ~fi ~nwb_rd ~nwb_val ~smc
               ~x_dst_pre
-          else if cls = B.cls_branch && not (branch_taken s.B.cond rv1 rv2)
+          else if cls = B.cls_branch && not (S.branch_taken s.B.cond rv1 rv2)
           then
             finish_cycle m b vbase ~paging ~gen0 ~asid ~perms ~enabled
               ~deadline ~cyc0 ~nmem_i:ex_i ~nmem_alu:0 ~nmem_sval:0 ~ex_i
@@ -1751,7 +1196,7 @@ let rec compiled_cycle m (b : uop B.block) vbase ~(mb : uop B.block)
             m.if_id.fvalid <- false;
             stats.Stats.flushes <- stats.Stats.flushes + 1;
             emit m Ev.flush Ev.flush_redirect 0;
-            redirect m ~target ~metal:false;
+            S.redirect m ~target ~metal:false;
             (* Direct block→block chain: when the taken target is
                already translated (and still maps to the chained
                block), continue compiled — the terminator retires from
@@ -1856,7 +1301,7 @@ and finish_cycle m (b : uop B.block) vbase ~paging ~gen0 ~asid ~perms
     let c = do_id m ~exm_wr_rd:x_dst_pre ~exm_wmreg:false in
     if c = id_pass then do_if m
     else if c >= 0 then begin
-      redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
+      S.redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
       if c land 1 = 1 then do_if m else m.if_id.fvalid <- false
     end
   end
@@ -1875,7 +1320,7 @@ and finish_cycle m (b : uop B.block) vbase ~paging ~gen0 ~asid ~perms
       let c = do_id m ~exm_wr_rd:x_dst_pre ~exm_wmreg:false in
       if c = id_pass then do_if m
       else if c >= 0 then begin
-        redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
+        S.redirect m ~target:(c lsr 2) ~metal:(c land 2 <> 0);
         if c land 1 = 1 then do_if m else m.if_id.fvalid <- false
       end
     end

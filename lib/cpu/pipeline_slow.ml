@@ -1,22 +1,26 @@
-(* The original (pre-predecode) pipeline stepper, kept verbatim as the
-   slow path behind [Config.predecode = false].
+(* The option-latch pipeline stepper behind [Config.predecode = false].
 
    It serves two purposes:
 
    - Ablation baseline: the simperf benchmark times this stepper
      against the predecoded, allocation-free hot loop in [Pipeline] to
      report the speedup the rewrite buys.
-   - Correctness oracle: it is a second, independently-structured
-     implementation of the same micro-architecture.  The differential
-     suite runs every workload under both steppers and requires
-     bit-identical architectural state and cycle-exact [Stats].
+   - Schedule oracle: what each instruction does comes from
+     [Semantics], shared with [Pipeline]; what stays here, written
+     independently of [Pipeline], is the part the differential suite
+     checks against it — the latch storage (immutable option latches
+     rebuilt every cycle), forwarding, the ID load-use and interception
+     hazards, fetch scheduling, the EPC choice for interrupts and the
+     cycle driver.  The suite runs every workload under both steppers
+     and requires bit-identical architectural state and cycle-exact
+     [Stats].
 
    The stepper allocates freely (option latches, closures, tuple
-   returns, per-cycle decode in ID) exactly as the original did; do
-   not "optimise" it — its value is fidelity, not speed.  Latch state
-   is stored in the shared [Machine.t] latch records so the two
-   steppers agree on machine state; each cycle converts them to the
-   option form this code was written against. *)
+   returns, per-cycle decode in ID); do not "optimise" it — its value
+   is an independent schedule, not speed.  Latch state is stored in
+   the shared [Machine.t] latch records so the two steppers agree on
+   machine state; each cycle converts them to the option form this
+   code is written against. *)
 
 open Machine
 module Ev = Metal_trace.Event
@@ -129,517 +133,112 @@ let store_latches (m : Machine.t) l =
     m.wb_rd <- wrd;
     m.wb_value <- wvalue
 
-(* ------------------------------------------------------------------ *)
-(* Classification helpers                                              *)
 
-(* Instructions whose GPR result is only available after the MEM
-   stage; a dependent instruction immediately behind them must stall
-   one cycle (load-use interlock). *)
-let produces_at_mem = function
-  | Instr.Load _ -> true
-  | Instr.Metal m ->
-    begin match m with
-    | Instr.Mld _ | Instr.Rmr _ -> true
-    | Instr.Feature
-        (Instr.Physld _ | Instr.Tlbprobe _ | Instr.Gprr _ | Instr.Mcsrr _) ->
-      true
-    | Instr.Menter _ | Instr.Mexit | Instr.Wmr _ | Instr.Mst _
-    | Instr.Feature _ -> false
-    end
-  | Instr.Lui _ | Instr.Auipc _ | Instr.Jal _ | Instr.Jalr _ | Instr.Branch _
-  | Instr.Store _ | Instr.Op_imm _ | Instr.Op _ | Instr.Ecall | Instr.Ebreak
-  | Instr.Fence -> false
+module S = Semantics
 
 let uop_writes_gpr = function
   | U_instr i -> Instr.writes_gpr i
   | U_event _ | U_poison _ -> None
 
-let uop_produces_at_mem = function
-  | U_instr i -> produces_at_mem i
-  | U_event _ | U_poison _ -> false
-
-(* Instructions that modify Metal registers at MEM: [mexit] decodes
-   against m31, so it interlocks on these. *)
-let uop_writes_mreg = function
-  | U_instr (Instr.Metal (Instr.Wmr _ | Instr.Menter _)) -> true
-  | U_event _ -> true
-  | U_instr _ | U_poison _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Address translation                                                 *)
-
-type access = A_fetch | A_load | A_store
-
-let fault_of_access = function
-  | A_fetch -> Cause.Page_fault_fetch
-  | A_load -> Cause.Page_fault_load
-  | A_store -> Cause.Page_fault_store
-
-let hw_walk m ~vpn ~asid =
-  let open Metal_hw in
-  m.stats.Stats.hw_walks <- m.stats.Stats.hw_walks + 1;
-  emit m Ev.hw_walk vpn 0;
-  let read_pte pa =
-    let lat = m.config.Config.walker_latency in
-    m.stall_cycles <- m.stall_cycles + lat;
-    if lat > 0 then begin
-      m.stats.Stats.walker_stall_cycles <-
-        m.stats.Stats.walker_stall_cycles + lat;
-      emit m Ev.stall_begin Ev.stall_walker lat
-    end;
-    match Bus.load m.bus ~width:Instr.Word ~addr:pa with
-    | Ok w -> Some w
-    | Error _ -> None
-  in
-  let root = m.ctrl.(Csr.pt_root) in
-  let entry_of pte ~vpn ~ppn_extra =
-    let r = Word.bit 1 pte = 1
-    and w = Word.bit 2 pte = 1
-    and x = Word.bit 3 pte = 1
-    and global = Word.bit 4 pte = 1
-    and pkey = Word.bits ~hi:8 ~lo:5 pte in
-    let ppn = Word.bits ~hi:31 ~lo:12 pte lor ppn_extra in
-    { Tlb.asid; global; vpn; ppn; r; w; x; pkey }
-  in
-  match read_pte (root + (4 * (vpn lsr 10))) with
-  | None -> None
-  | Some pte1 ->
-    if Word.bit 0 pte1 = 0 then None
-    else if Word.bits ~hi:3 ~lo:1 pte1 <> 0 then
-      (* 4 MiB superpage leaf at level 1. *)
-      Some (entry_of pte1 ~vpn ~ppn_extra:(vpn land 0x3FF))
-    else begin
-      let table = pte1 land 0xFFFFF000 in
-      match read_pte (table + (4 * (vpn land 0x3FF))) with
-      | None -> None
-      | Some pte2 ->
-        if Word.bit 0 pte2 = 0 || Word.bits ~hi:3 ~lo:1 pte2 = 0 then None
-        else Some (entry_of pte2 ~vpn ~ppn_extra:0)
-    end
-
-let translate m ~access ~metal vaddr =
-  let open Metal_hw in
-  if m.ctrl.(Csr.paging) land 1 = 0 then Ok vaddr
-  else begin
-    let asid = m.ctrl.(Csr.asid) land 0xFF in
-    let vpn = vaddr lsr Tlb.page_shift in
-    let fault cause =
-      m.fault_vaddr <- Word.of_int vaddr;
-      Error cause
-    in
-    let check (e : Tlb.entry) =
-      let perm_ok =
-        match access with A_fetch -> e.x | A_load -> e.r | A_store -> e.w
-      in
-      if not perm_ok then fault (fault_of_access access)
-      else if not metal then begin
-        let perms = m.ctrl.(Csr.pkey_perms) in
-        let read_disabled = Word.bit (2 * e.pkey) perms = 1 in
-        let write_disabled = Word.bit ((2 * e.pkey) + 1) perms = 1 in
-        match access with
-        | A_load when read_disabled -> fault Cause.Pkey_violation_load
-        | A_store when write_disabled -> fault Cause.Pkey_violation_store
-        | A_fetch | A_load | A_store ->
-          Ok ((e.ppn lsl Tlb.page_shift) lor (vaddr land 0xFFF))
-      end
-      else Ok ((e.ppn lsl Tlb.page_shift) lor (vaddr land 0xFFF))
-    in
-    match Tlb.lookup m.tlb ~asid ~vpn with
-    | Some e ->
-      m.stats.Stats.tlb_hits <- m.stats.Stats.tlb_hits + 1;
-      check e
-    | None ->
-      m.stats.Stats.tlb_misses <- m.stats.Stats.tlb_misses + 1;
-      emit m Ev.tlb_miss vaddr
-        (match access with A_fetch -> 0 | A_load -> 1 | A_store -> 2);
-      if m.ctrl.(Csr.hw_walker) land 1 = 1 then
-        match hw_walk m ~vpn ~asid with
-        | Some e ->
-          Tlb.insert m.tlb e;
-          check e
-        | None -> fault (fault_of_access access)
-      else fault (fault_of_access access)
-  end
-
-let charge_cache m cache ~addr ~fetch =
-  match cache with
-  | None -> ()
-  | Some c ->
-    if not (Metal_hw.Cache.access c ~addr) then begin
-      let p = (Metal_hw.Cache.config c).Metal_hw.Cache.miss_penalty in
-      m.stall_cycles <- m.stall_cycles + p;
-      if fetch then begin
-        m.stats.Stats.fetch_stall_cycles <-
-          m.stats.Stats.fetch_stall_cycles + p;
-        emit m Ev.stall_begin Ev.stall_fetch_cache p
-      end
-      else begin
-        m.stats.Stats.mem_stall_cycles <- m.stats.Stats.mem_stall_cycles + p;
-        emit m Ev.stall_begin Ev.stall_data_cache p
-      end
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Event delivery                                                      *)
-
-let flush_all m l =
+(* The [~squash] action handed to [Semantics]: drop every latch,
+   MEM/WB included. *)
+let squash l (_ : Machine.t) =
   l.if_id <- None;
   l.id_ex <- None;
   l.ex_mem <- None;
-  m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
-  emit m Ev.flush Ev.flush_event 0
-
-let redirect m ~target ~metal =
-  m.fetch_pc <- Word.of_int target;
-  m.fetch_metal <- metal;
-  m.fetch_frozen <- false
-
-let deliver_to_mroutine m l ~handler_value ~writes ~reason ~on_missing =
-  let entry = handler_value - 1 in
-  match Metal_hw.Mram.entry_addr m.mram entry with
-  | None ->
-    m.halted <- Some on_missing;
-    false
-  | Some target ->
-    List.iter (fun (mr, v) -> set_mreg m mr v) writes;
-    flush_all m l;
-    l.mem_wb <- None;
-    redirect m ~target ~metal:true;
-    emit m Ev.mode_enter entry reason;
-    true
-
-let raise_exception m l ~cause ~epc ~tval ~metal =
-  m.stats.Stats.exceptions <- m.stats.Stats.exceptions + 1;
-  m.fault_cause <- Cause.code cause;
-  emit m Ev.exn (Cause.code cause) tval;
-  if m.config.Config.trace then
-    add_trace m ~cycle:m.stats.Stats.cycles
-      (Printf.sprintf "exception %s at %s tval=%s" (Cause.to_string cause)
-         (Word.to_hex epc) (Word.to_hex tval));
-  if metal then begin
-    m.halted <- Some (Halt_metal_fault { cause; pc = epc; info = tval });
-    l.mem_wb <- None
-  end
-  else begin
-    let handler_value = m.ctrl.(Csr.exc_handler cause) in
-    if handler_value = 0 then begin
-      m.halted <- Some (Halt_fault { cause; pc = epc; info = tval });
-      l.mem_wb <- None
-    end
-    else begin
-      let writes =
-        [ (Reg.Mconv.return_address, Word.of_int epc);
-          (Reg.Mconv.event_cause, Cause.code cause);
-          (Reg.Mconv.event_value, tval) ]
-      in
-      ignore
-        (deliver_to_mroutine m l ~handler_value ~writes
-           ~reason:Ev.reason_exception
-           ~on_missing:
-             (Halt_fault { cause; pc = epc; info = tval }))
-    end
-  end
+  l.mem_wb <- None
 
 (* ------------------------------------------------------------------ *)
 (* MEM stage                                                           *)
 
-let width_alignment = function Instr.Byte -> 0 | Instr.Half -> 1 | Instr.Word -> 3
-
-let sign_extend_load ~width ~unsigned v =
-  match (width, unsigned) with
-  | Instr.Byte, false -> Word.of_int (Word.sign_extend ~width:8 v)
-  | Instr.Half, false -> Word.of_int (Word.sign_extend ~width:16 v)
-  | (Instr.Byte | Instr.Half), true | Instr.Word, _ -> v
-
 (* Returns [true] when the cycle may continue through EX/ID/IF;
    [false] when MEM flushed the pipe (exception or slow-path
    transition) or halted the machine. *)
-let rec do_mem m l ex_mem_old =
-  let stats = m.stats in
+let do_mem m l ex_mem_old =
   match ex_mem_old with
   | None ->
-    stats.Stats.bubbles <- stats.Stats.bubbles + 1;
+    m.stats.Stats.bubbles <- m.stats.Stats.bubbles + 1;
     l.mem_wb <- None;
     true
   | Some x ->
-    let retire () =
-      stats.Stats.instructions <- stats.Stats.instructions + 1;
-      if x.xmetal then
-        stats.Stats.metal_instructions <- stats.Stats.metal_instructions + 1;
-      emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-      if m.config.Config.trace then
-        add_trace m ~cycle:stats.Stats.cycles
-          (Printf.sprintf "retire %s%s %s" (Word.to_hex x.xpc)
-             (if x.xmetal then " M" else "  ")
-             (match x.xuop with
-              | U_instr i -> Instr.to_string i
-              | U_event { kind = Event_menter e; _ } ->
-                Printf.sprintf "<menter %d>" e
-              | U_event { kind = Event_intercept c; _ } ->
-                Printf.sprintf "<intercept %s>" (Icept.to_string c)
-              | U_poison _ -> "<poison>"))
-    in
-    let writeback rd value =
+    let squash = squash l in
+    let retire () = S.retire m ~pc:x.xpc ~metal:x.xmetal x.xuop in
+    let writeback _ rd value =
       l.mem_wb <- (if rd = 0 then None else Some { wrd = rd; wvalue = value });
       retire ();
       true
     in
-    let no_writeback () =
+    let no_writeback _ =
       l.mem_wb <- None;
       retire ();
       true
     in
-    let except cause tval =
+    let except _ cause tval =
       l.mem_wb <- None;
-      raise_exception m l ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
+      S.raise_exception m ~squash ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
       false
     in
-    let charge_mem_latency () =
-      let lat = m.config.Config.mem_latency in
-      if lat > 0 then begin
-        m.stall_cycles <- m.stall_cycles + lat;
-        stats.Stats.mem_stall_cycles <- stats.Stats.mem_stall_cycles + lat;
-        emit m Ev.stall_begin Ev.stall_mem_latency lat
+    (* [Semantics.translate]'s -1 carries the cause in [m.xlate_cause]. *)
+    let translated access vaddr k =
+      let pa = S.translate m ~access ~metal:x.xmetal vaddr in
+      if pa < 0 then except m m.xlate_cause vaddr
+      else begin
+        S.charge_mem_latency m;
+        S.charge_cache m m.dcache ~addr:pa ~fetch:false;
+        k pa
       end
     in
     begin match x.xuop with
-    | U_poison { cause; tval } ->
-      l.mem_wb <- None;
-      raise_exception m l ~cause ~epc:x.xpc ~tval ~metal:x.xmetal;
-      false
+    | U_poison { cause; tval } -> except m cause tval
     | U_event { kind; writes } ->
-      List.iter (fun (mr, v) -> set_mreg m mr v) writes;
-      begin match kind with
-      | Event_menter _ -> stats.Stats.menters <- stats.Stats.menters + 1
-      | Event_intercept _ ->
-        stats.Stats.intercepts <- stats.Stats.intercepts + 1
-      end;
-      no_writeback ()
+      S.commit_event m kind writes;
+      no_writeback m
     | U_instr instr ->
       begin match instr with
       | Instr.Load { width; unsigned; rd; _ } ->
         let vaddr = x.alu in
-        if vaddr land width_alignment width <> 0 then
-          except Cause.Misaligned_load vaddr
-        else begin
-          match translate m ~access:A_load ~metal:x.xmetal vaddr with
-          | Error cause -> except cause vaddr
-          | Ok pa ->
-            charge_mem_latency ();
-            charge_cache m m.dcache ~addr:pa ~fetch:false;
-            begin match Metal_hw.Bus.load m.bus ~width ~addr:pa with
-            | Error cause -> except cause vaddr
-            | Ok v -> writeback rd (sign_extend_load ~width ~unsigned v)
-            end
-        end
+        if vaddr land S.width_alignment width <> 0 then
+          except m Cause.Misaligned_load vaddr
+        else
+          translated S.A_load vaddr (fun pa ->
+              match Metal_hw.Bus.load m.bus ~width ~addr:pa with
+              | Error cause -> except m cause vaddr
+              | Ok v -> writeback m rd (S.sign_extend_load ~width ~unsigned v))
       | Instr.Store { width; _ } ->
         let vaddr = x.alu in
-        if vaddr land width_alignment width <> 0 then
-          except Cause.Misaligned_store vaddr
-        else begin
-          match translate m ~access:A_store ~metal:x.xmetal vaddr with
-          | Error cause -> except cause vaddr
-          | Ok pa ->
-            charge_mem_latency ();
-            charge_cache m m.dcache ~addr:pa ~fetch:false;
-            begin match Metal_hw.Bus.store m.bus ~width ~addr:pa x.sval with
-            | Error cause -> except cause vaddr
-            | Ok () -> no_writeback ()
-            end
-        end
+        if vaddr land S.width_alignment width <> 0 then
+          except m Cause.Misaligned_store vaddr
+        else
+          translated S.A_store vaddr (fun pa ->
+              match Metal_hw.Bus.store m.bus ~width ~addr:pa x.sval with
+              | Error cause -> except m cause vaddr
+              | Ok () -> no_writeback m)
       | Instr.Metal mi ->
-        do_mem_metal m l x mi ~writeback ~no_writeback ~except
-      | Instr.Ecall -> except Cause.Ecall 0
+        S.mem_metal m mi ~pc:x.xpc ~metal:x.xmetal ~alu:x.alu ~sval:x.sval
+          ~writeback ~no_writeback ~except ~squash
+      | Instr.Ecall -> except m Cause.Ecall 0
       | Instr.Ebreak ->
         if (not x.xmetal) && m.ctrl.(Csr.exc_handler Cause.Breakpoint) <> 0
-        then except Cause.Breakpoint 0
+        then except m Cause.Breakpoint 0
         else begin
           retire ();
           l.mem_wb <- None;
           m.halted <- Some (Halt_ebreak { pc = x.xpc; metal = x.xmetal });
           false
         end
-      | Instr.Jal { rd; offset } ->
-        let ok = writeback rd x.alu in
-        (* Call/return hints for the profiler; must match the fast
-           stepper's emission bit for bit (differential suite). *)
-        if m.probe_on && (rd = 1 || rd = 5) then
-          emit m Ev.call (Word.add x.xpc offset) x.xpc;
-        ok
-      | Instr.Jalr { rd; rs1; _ } ->
-        let ok = writeback rd x.alu in
-        if m.probe_on then begin
-          if rd = 1 || rd = 5 then emit m Ev.call x.sval x.xpc
-          else if rd = 0 && (rs1 = 1 || rs1 = 5) then
-            emit m Ev.ret x.sval x.xpc
-        end;
+      | Instr.Jal { rd; _ } | Instr.Jalr { rd; _ } ->
+        let ok = writeback m rd x.alu in
+        S.link_hint m instr ~pc:x.xpc ~sval:x.sval;
         ok
       | Instr.Lui { rd; _ } | Instr.Auipc { rd; _ }
       | Instr.Op_imm { rd; _ } | Instr.Op { rd; _ } ->
-        writeback rd x.alu
-      | Instr.Branch _ | Instr.Fence -> no_writeback ()
+        writeback m rd x.alu
+      | Instr.Branch _ | Instr.Fence -> no_writeback m
       end
-    end
-
-and do_mem_metal m l x mi ~writeback ~no_writeback ~except =
-  let stats = m.stats in
-  match mi with
-  | Instr.Mld { rd; _ } ->
-    if m.config.Config.ecc then begin
-      match Metal_hw.Mram.load_word_checked m.mram ~addr:x.alu with
-      | None -> except Cause.Access_fault x.alu
-      | Some (v, st) ->
-        (* One-cycle in-line SECDED verify; must charge and emit
-           exactly like the fast stepper's [charge_ecc_check]. *)
-        m.stall_cycles <- m.stall_cycles + 1;
-        stats.Stats.mem_stall_cycles <- stats.Stats.mem_stall_cycles + 1;
-        emit m Ev.stall_begin Ev.stall_ecc_check 1;
-        (match st with
-         | Metal_hw.Ecc.Clean -> writeback rd v
-         | Metal_hw.Ecc.Corrected _ ->
-           emit m Ev.ecc_correct 0 x.alu;
-           writeback rd v
-         | Metal_hw.Ecc.Uncorrectable ->
-           except Cause.Ecc_uncorrectable x.alu)
-    end
-    else begin match Metal_hw.Mram.load_word m.mram ~addr:x.alu with
-    | Some v -> writeback rd v
-    | None -> except Cause.Access_fault x.alu
-    end
-  | Instr.Mst _ ->
-    if Metal_hw.Mram.store_word m.mram ~addr:x.alu x.sval then no_writeback ()
-    else except Cause.Access_fault x.alu
-  | Instr.Rmr { rd; mr } ->
-    if m.config.Config.ecc then begin
-      match get_mreg_checked m mr with
-      | v, Metal_hw.Ecc.Clean -> writeback rd v
-      | v, Metal_hw.Ecc.Corrected _ ->
-        emit m Ev.ecc_correct 1 mr;
-        writeback rd v
-      | _, Metal_hw.Ecc.Uncorrectable -> except Cause.Ecc_uncorrectable mr
-    end
-    else writeback rd (get_mreg m mr)
-  | Instr.Wmr { mr; _ } ->
-    set_mreg m mr x.alu;
-    no_writeback ()
-  | Instr.Menter { entry } ->
-    (* Slow-path (trap-style) Metal entry; the fast path consumes
-       menter at decode and never reaches here. *)
-    begin match Metal_hw.Mram.entry_addr m.mram entry with
-    | None -> except Cause.Illegal_instruction 0
-    | Some target ->
-      set_mreg m Reg.Mconv.return_address (Word.add x.xpc 4);
-      stats.Stats.menters <- stats.Stats.menters + 1;
-      stats.Stats.instructions <- stats.Stats.instructions + 1;
-      emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-      flush_all m l;
-      l.mem_wb <- None;
-      redirect m ~target ~metal:true;
-      emit m Ev.mode_enter entry Ev.reason_menter_trap;
-      false
-    end
-  | Instr.Mexit when m.config.Config.ecc
-                     && (match get_mreg_checked m Reg.Mconv.return_address with
-                         | _, Metal_hw.Ecc.Uncorrectable -> true
-                         | _ -> false) ->
-    except Cause.Ecc_uncorrectable Reg.Mconv.return_address
-  | Instr.Mexit ->
-    if m.config.Config.ecc then begin
-      match get_mreg_checked m Reg.Mconv.return_address with
-      | _, Metal_hw.Ecc.Corrected _ ->
-        emit m Ev.ecc_correct 1 Reg.Mconv.return_address
-      | _ -> ()
-    end;
-    let target = get_mreg m Reg.Mconv.return_address in
-    stats.Stats.mexits <- stats.Stats.mexits + 1;
-    stats.Stats.instructions <- stats.Stats.instructions + 1;
-    if x.xmetal then
-      stats.Stats.metal_instructions <- stats.Stats.metal_instructions + 1;
-    emit m Ev.retire x.xpc (if x.xmetal then 1 else 0);
-    flush_all m l;
-    l.mem_wb <- None;
-    redirect m ~target ~metal:false;
-    emit m Ev.mode_exit target 0;
-    false
-  | Instr.Feature f ->
-    begin match f with
-    | Instr.Physld { rd; _ } ->
-      if x.alu land 3 <> 0 then except Cause.Misaligned_load x.alu
-      else begin
-        let lat = m.config.Config.mem_latency in
-        if lat > 0 then begin
-          m.stall_cycles <- m.stall_cycles + lat;
-          stats.Stats.mem_stall_cycles <- stats.Stats.mem_stall_cycles + lat;
-          emit m Ev.stall_begin Ev.stall_mem_latency lat
-        end;
-        match Metal_hw.Bus.load m.bus ~width:Instr.Word ~addr:x.alu with
-        | Ok v -> writeback rd v
-        | Error cause -> except cause x.alu
-      end
-    | Instr.Physst _ ->
-      if x.alu land 3 <> 0 then except Cause.Misaligned_store x.alu
-      else begin
-        let lat = m.config.Config.mem_latency in
-        if lat > 0 then begin
-          m.stall_cycles <- m.stall_cycles + lat;
-          stats.Stats.mem_stall_cycles <- stats.Stats.mem_stall_cycles + lat;
-          emit m Ev.stall_begin Ev.stall_mem_latency lat
-        end;
-        match Metal_hw.Bus.store m.bus ~width:Instr.Word ~addr:x.alu x.sval with
-        | Ok () -> no_writeback ()
-        | Error cause -> except cause x.alu
-      end
-    | Instr.Tlbw _ ->
-      Metal_hw.Tlb.insert_packed m.tlb ~tag:x.alu ~data:x.sval;
-      no_writeback ()
-    | Instr.Tlbflush _ ->
-      if x.alu = Word.mask then Metal_hw.Tlb.flush_all m.tlb
-      else Metal_hw.Tlb.flush_asid m.tlb ~asid:(x.alu land 0xFF);
-      no_writeback ()
-    | Instr.Tlbprobe { rd; _ } ->
-      let asid = m.ctrl.(Csr.asid) land 0xFF in
-      writeback rd (Metal_hw.Tlb.probe_packed m.tlb ~asid ~vaddr:x.alu)
-    | Instr.Gprr { rd; _ } -> writeback rd m.regs.(x.alu land 31)
-    | Instr.Gprw _ ->
-      let idx = x.alu land 31 in
-      if idx <> 0 then m.regs.(idx) <- x.sval;
-      no_writeback ()
-    | Instr.Iceptset _ ->
-      ctrl_write m (Csr.icept_handler (x.alu land 15)) (x.sval + 1);
-      no_writeback ()
-    | Instr.Iceptclr _ ->
-      ctrl_write m (Csr.icept_handler (x.alu land 15)) 0;
-      no_writeback ()
-    | Instr.Mcsrr { rd; csr } -> writeback rd (ctrl_read m csr)
-    | Instr.Mcsrw { csr; _ } ->
-      ctrl_write m csr x.alu;
-      no_writeback ()
     end
 
 (* ------------------------------------------------------------------ *)
 (* EX stage                                                            *)
-
-let alu_compute op a b =
-  match op with
-  | Instr.Add -> Word.add a b
-  | Instr.Sub -> Word.sub a b
-  | Instr.Sll -> Word.shift_left a b
-  | Instr.Slt -> if Word.lt_signed a b then 1 else 0
-  | Instr.Sltu -> if Word.lt_unsigned a b then 1 else 0
-  | Instr.Xor -> Word.logxor a b
-  | Instr.Srl -> Word.shift_right_logical a b
-  | Instr.Sra -> Word.shift_right_arith a b
-  | Instr.Or -> Word.logor a b
-  | Instr.And -> Word.logand a b
-
-let branch_taken cond a b =
-  match cond with
-  | Instr.Beq -> a = b
-  | Instr.Bne -> a <> b
-  | Instr.Blt -> Word.lt_signed a b
-  | Instr.Bge -> Word.ge_signed a b
-  | Instr.Bltu -> Word.lt_unsigned a b
-  | Instr.Bgeu -> Word.ge_unsigned a b
 
 (* Process the EX stage.  Sets [l.ex_mem]; returns a taken-branch /
    jalr redirect: [(target, metal_mode_of_branch)]. *)
@@ -657,7 +256,7 @@ let do_ex l id_ex_old ~ex_mem_prev ~mem_wb_prev =
       else
         let from_ex_mem =
           match ex_mem_prev with
-          | Some x when not (uop_produces_at_mem x.xuop) ->
+          | Some x when not (S.uop_produces_at_mem x.xuop) ->
             begin match uop_writes_gpr x.xuop with
             | Some rd when rd = idx -> Some x.alu
             | Some _ | None -> None
@@ -694,15 +293,15 @@ let do_ex l id_ex_old ~ex_mem_prev ~mem_wb_prev =
         finish ~alu:(Word.add d.dpc 4) ~sval:target
           ~redirect:(target, d.dmetal) ()
       | Instr.Branch { cond; offset; _ } ->
-        if branch_taken cond rv1 rv2 then
+        if S.branch_taken cond rv1 rv2 then
           finish ~redirect:(Word.add d.dpc offset, d.dmetal) ()
         else finish ()
       | Instr.Load { offset; _ } -> finish ~alu:(Word.add rv1 offset) ()
       | Instr.Store { offset; _ } ->
         finish ~alu:(Word.add rv1 offset) ~sval:rv2 ()
       | Instr.Op_imm { op; imm; _ } ->
-        finish ~alu:(alu_compute op rv1 (Word.of_int imm)) ()
-      | Instr.Op { op; _ } -> finish ~alu:(alu_compute op rv1 rv2) ()
+        finish ~alu:(S.alu_compute op rv1 (Word.of_int imm)) ()
+      | Instr.Op { op; _ } -> finish ~alu:(S.alu_compute op rv1 rv2) ()
       | Instr.Ecall | Instr.Ebreak | Instr.Fence -> finish ()
       | Instr.Metal mi ->
         begin match mi with
@@ -735,43 +334,6 @@ type id_outcome =
   | Id_stall
   | Id_pass of decoded option * id_redirect option
 
-(* Interception is considered only for normal-mode instructions with a
-   registered handler and the global enable bit set. *)
-let intercept_handler m instr =
-  if m.ctrl.(Csr.icept_enable) land 1 = 0 then None
-  else
-    match Icept.classify instr with
-    | None -> None
-    | Some cls ->
-      let v = m.ctrl.(Csr.icept_handler (Icept.code cls)) in
-      if v = 0 then None else Some (cls, v)
-
-(* Source registers by encoding position (x0 allowed): forwarding and
-   the interception interlock need rs1/rs2 positionally. *)
-let sources_of instr =
-  match instr with
-  | Instr.Jalr { rs1; _ } | Instr.Load { rs1; _ } | Instr.Op_imm { rs1; _ } ->
-    (rs1, 0)
-  | Instr.Branch { rs1; rs2; _ } | Instr.Op { rs1; rs2; _ }
-  | Instr.Store { rs1; rs2; _ } -> (rs1, rs2)
-  | Instr.Metal m ->
-    begin match m with
-    | Instr.Wmr { rs1; _ } | Instr.Mld { rs1; _ } -> (rs1, 0)
-    | Instr.Mst { rs1; rs2; _ } -> (rs1, rs2)
-    | Instr.Menter _ | Instr.Mexit | Instr.Rmr _ -> (0, 0)
-    | Instr.Feature f ->
-      begin match f with
-      | Instr.Physld { rs1; _ } | Instr.Tlbflush { rs1 }
-      | Instr.Tlbprobe { rs1; _ } | Instr.Gprr { rs1; _ }
-      | Instr.Iceptclr { rs1 } | Instr.Mcsrw { rs1; _ } -> (rs1, 0)
-      | Instr.Physst { rs1; rs2; _ } | Instr.Tlbw { rs1; rs2 }
-      | Instr.Gprw { rs1; rs2 } | Instr.Iceptset { rs1; rs2 } -> (rs1, rs2)
-      | Instr.Mcsrr _ -> (0, 0)
-      end
-    end
-  | Instr.Lui _ | Instr.Auipc _ | Instr.Jal _ | Instr.Ecall | Instr.Ebreak
-  | Instr.Fence -> (0, 0)
-
 (* Does any in-flight producer target one of [srcs]?  Used by the
    interception interlock, which needs operand values at decode. *)
 let inflight_writes_gpr ~id_ex_old ~ex_mem_old srcs =
@@ -787,8 +349,8 @@ let inflight_writes_gpr ~id_ex_old ~ex_mem_old srcs =
   | None -> false
 
 let inflight_writes_mreg ~id_ex_old ~ex_mem_old =
-  (match id_ex_old with Some d -> uop_writes_mreg d.duop | None -> false)
-  || match ex_mem_old with Some x -> uop_writes_mreg x.xuop | None -> false
+  (match id_ex_old with Some d -> S.uop_writes_mreg d.duop | None -> false)
+  || match ex_mem_old with Some x -> S.uop_writes_mreg x.xuop | None -> false
 
 let do_id m if_id_old ~id_ex_old ~ex_mem_old =
   match if_id_old with
@@ -808,17 +370,10 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
       begin match Decode.decode f.word with
       | Error _ -> poison Cause.Illegal_instruction f.word
       | Ok instr ->
-        (* Legality: Metal instructions other than menter require Metal
-           mode; menter requires normal mode (no hardware nesting). *)
-        let illegal =
-          match instr with
-          | Instr.Metal (Instr.Menter _) -> f.fmetal
-          | Instr.Metal _ -> not f.fmetal
-          | _ -> false
-        in
-        if illegal then poison Cause.Illegal_instruction f.word
+        if not (S.legal_in_mode instr ~metal:f.fmetal) then
+          poison Cause.Illegal_instruction f.word
         else begin
-          let rs1, rs2 = sources_of instr in
+          let rs1, rs2 = S.sources_of instr in
           let rv1 = m.regs.(rs1) and rv2 = m.regs.(rs2) in
           let dec duop =
             { dpc = f.fpc; dmetal = f.fmetal; duop; rs1; rs2; rv1; rv2 }
@@ -826,7 +381,7 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
           (* Load-use interlock against the instruction now in EX. *)
           let load_use =
             match id_ex_old with
-            | Some d when uop_produces_at_mem d.duop ->
+            | Some d when S.uop_produces_at_mem d.duop ->
               begin match uop_writes_gpr d.duop with
               | Some rd -> rd = rs1 || rd = rs2
               | None -> false
@@ -839,7 +394,7 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
             Id_stall
           end
           else begin
-            match intercept_handler m instr with
+            match S.intercept_handler m instr with
             | Some (cls, handler_value) when not f.fmetal ->
               (* Interception needs fresh operand values at decode. *)
               if inflight_writes_gpr ~id_ex_old ~ex_mem_old [ rs1; rs2 ]
@@ -855,29 +410,9 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
                   (* Mis-configured intercept: treat as illegal. *)
                   poison Cause.Illegal_instruction f.word
                 | Some target ->
-                  let eff_addr, store_val, rd_idx =
-                    match instr with
-                    | Instr.Load { rs1 = _; offset; rd; _ } ->
-                      (Word.add rv1 offset, 0, rd)
-                    | Instr.Store { offset; _ } ->
-                      (Word.add rv1 offset, rv2, 0)
-                    | Instr.Jalr { offset; rd; _ } ->
-                      (Word.logand (Word.add rv1 offset) (Word.lognot 1),
-                       0, rd)
-                    | Instr.Jal { offset; rd } ->
-                      (Word.add f.fpc offset, 0, rd)
-                    | Instr.Branch { offset; _ } ->
-                      (Word.add f.fpc offset, 0, 0)
-                    | _ -> (0, 0, 0)
-                  in
                   let writes =
-                    [ (Reg.Mconv.return_address, Word.of_int f.fpc);
-                      (Reg.Mconv.event_cause,
-                       Cause.intercept_code (Icept.code cls));
-                      (Reg.Mconv.event_value, f.word);
-                      (Reg.Mconv.event_addr, eff_addr);
-                      (Reg.Mconv.event_store_value, store_val);
-                      (Reg.Mconv.event_rd, rd_idx) ]
+                    S.intercept_writes cls instr ~pc:f.fpc ~word:f.word ~rv1
+                      ~rv2
                   in
                   emit m Ev.intercept (Icept.code cls) f.fpc;
                   emit m Ev.mode_enter entry Ev.reason_intercept;
@@ -920,17 +455,7 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
                   Id_stall
                 end
                 else begin
-                  let ecc_dead =
-                    m.config.Config.ecc
-                    &&
-                    match get_mreg_checked m Reg.Mconv.return_address with
-                    | _, Metal_hw.Ecc.Uncorrectable -> true
-                    | _, Metal_hw.Ecc.Corrected _ ->
-                      emit m Ev.ecc_correct 1 Reg.Mconv.return_address;
-                      false
-                    | _, Metal_hw.Ecc.Clean -> false
-                  in
-                  if ecc_dead then
+                  if S.mexit_return_lost m then
                     (* Unrecoverable return address: poison to MEM like
                        the fast stepper. *)
                     poison Cause.Ecc_uncorrectable f.word
@@ -964,44 +489,21 @@ let do_if m =
       Some { fpc = pc; fmetal = m.fetch_metal; word; ffault = fault }
     in
     if m.fetch_metal then begin
-      begin match m.config.Config.mram_backing with
-      | Config.Main_memory { fetch_penalty } ->
-        (* Main-memory-resident mroutines (the PALcode model) fetch
-           through the instruction cache — filling, and polluting, it.
-           Dedicated MRAM below bypasses the cache entirely. *)
-        begin match m.icache with
-        | Some c ->
-          if not (Metal_hw.Cache.access c ~addr:(0x4000_0000 lor pc))
-          then begin
-            m.stall_cycles <- m.stall_cycles + fetch_penalty;
-            m.stats.Stats.fetch_stall_cycles <-
-              m.stats.Stats.fetch_stall_cycles + fetch_penalty;
-            emit m Ev.stall_begin Ev.stall_mram_fetch fetch_penalty
-          end
-        | None ->
-          if fetch_penalty > 0 then begin
-            m.stall_cycles <- m.stall_cycles + fetch_penalty;
-            m.stats.Stats.fetch_stall_cycles <-
-              m.stats.Stats.fetch_stall_cycles + fetch_penalty;
-            emit m Ev.stall_begin Ev.stall_mram_fetch fetch_penalty
-          end
-        end
-      | Config.Dedicated -> ()
-      end;
+      S.charge_mram_fetch m ~pc;
       match Metal_hw.Mram.fetch m.mram ~addr:pc with
       | Some word -> fetched word
       | None -> fetched ~fault:Cause.Access_fault 0
     end
     else if pc land 3 <> 0 then fetched ~fault:Cause.Misaligned_fetch 0
     else begin
-      match translate m ~access:A_fetch ~metal:false pc with
-      | Error cause -> fetched ~fault:cause 0
-      | Ok pa ->
-        charge_cache m m.icache ~addr:pa ~fetch:true;
-        begin match Metal_hw.Bus.load m.bus ~width:Instr.Word ~addr:pa with
+      let pa = S.translate m ~access:S.A_fetch ~metal:false pc in
+      if pa < 0 then fetched ~fault:m.xlate_cause 0
+      else begin
+        S.charge_cache m m.icache ~addr:pa ~fetch:true;
+        match Metal_hw.Bus.load m.bus ~width:Instr.Word ~addr:pa with
         | Ok word -> fetched word
         | Error cause -> fetched ~fault:cause 0
-        end
+      end
     end
   end
 
@@ -1040,39 +542,18 @@ let try_interrupt m l ~if_id ~id_ex ~ex_mem =
           | None, None, Some f -> f.fpc
           | None, None, None -> m.fetch_pc
         in
-        let writes =
-          [ (Reg.Mconv.return_address, Word.of_int epc);
-            (Reg.Mconv.event_cause, Cause.interrupt_code irq) ]
-        in
-        m.stats.Stats.interrupts <- m.stats.Stats.interrupts + 1;
-        emit m Ev.interrupt irq epc;
-        if m.config.Config.trace then
-          add_trace m ~cycle:m.stats.Stats.cycles
-            (Printf.sprintf "interrupt %d delivered, resume %s" irq
-               (Word.to_hex epc));
-        deliver_to_mroutine m l ~handler_value ~writes
-          ~reason:Ev.reason_interrupt
-          ~on_missing:
-            (Halt_fault
-               { cause = Cause.Access_fault; pc = epc; info = irq })
+        S.deliver_interrupt m ~squash:(squash l) ~irq ~handler_value ~epc
       end
 
 (* ------------------------------------------------------------------ *)
 (* Cycle driver                                                        *)
-
-let timer_tick m =
-  let cmp = m.ctrl.(Csr.timer_cmp) in
-  if cmp <> 0 && m.stats.Stats.cycles >= cmp then begin
-    Metal_hw.Intc.raise_irq m.intc Metal_hw.Intc.timer_irq;
-    m.ctrl.(Csr.timer_cmp) <- 0
-  end
 
 let step m =
   match m.halted with
   | Some _ -> ()
   | None ->
     m.stats.Stats.cycles <- m.stats.Stats.cycles + 1;
-    timer_tick m;
+    S.timer_tick m;
     Metal_hw.Bus.tick m.bus ~cycle:m.stats.Stats.cycles;
     if m.stall_cycles > 0 then begin
       m.stall_cycles <- m.stall_cycles - 1;
@@ -1100,7 +581,7 @@ let step m =
            l.if_id <- None;
            m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
            emit m Ev.flush Ev.flush_redirect 0;
-           redirect m ~target ~metal:to_metal
+           S.redirect m ~target ~metal:to_metal
          | None ->
            begin match do_id m if_id ~id_ex_old:id_ex ~ex_mem_old:ex_mem with
            | Id_stall -> l.id_ex <- None
@@ -1109,7 +590,7 @@ let step m =
              begin match redir with
              | None -> l.if_id <- do_if m
              | Some { target; to_metal; combinational } ->
-               redirect m ~target ~metal:to_metal;
+               S.redirect m ~target ~metal:to_metal;
                if combinational then l.if_id <- do_if m
                else l.if_id <- None
              end

@@ -1,12 +1,13 @@
-(** The original option-latch pipeline stepper, preserved as the slow
-    path behind [Config.predecode = false].
+(** The option-latch pipeline stepper behind [Config.predecode = false].
 
     [Pipeline.step] dispatches here when the predecode cache is
-    disabled.  The stepper is cycle-exact with the fast path — the
-    differential suite requires identical registers, memory and
-    [Stats] under both — but allocates per cycle and decodes at ID
-    every time, so it doubles as the ablation baseline the simperf
-    benchmark measures the fast path against. *)
+    disabled.  It shares every per-instruction semantic function with
+    the fast path ({!Semantics}) but keeps its own latch storage,
+    forwarding, hazard detection and fetch scheduling, so the
+    differential suite — identical registers, memory and [Stats] under
+    both — checks the fast path's schedule.  It allocates per cycle and
+    decodes at ID every time, so it doubles as the ablation baseline
+    the simperf benchmark measures the fast path against. *)
 
 val step : Machine.t -> unit
 (** Advance the machine one cycle (no-op once halted). *)

@@ -8,7 +8,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let boot ?(config = Config.default) ?mcode src =
-  let m = Machine.create ~config () in
+  let m = Machine.create ~config:(Tutil.tier_config config) () in
   let img = Metal_asm.Asm.assemble_exn src in
   (match Machine.load_image m img with
    | Ok () -> ()
@@ -481,53 +481,54 @@ let test_intercept_toggle () =
 
 let () =
   Alcotest.run "cpu"
-    [
-      ( "base-isa",
-        [ Alcotest.test_case "arith" `Quick test_arith;
-          Alcotest.test_case "logic/shift" `Quick test_logic_shift;
-          Alcotest.test_case "slt" `Quick test_slt;
-          Alcotest.test_case "lui/auipc" `Quick test_lui_auipc;
-          Alcotest.test_case "x0" `Quick test_x0_immutable;
-          Alcotest.test_case "memory" `Quick test_memory;
-          Alcotest.test_case "sign extension" `Quick test_load_sign_extension;
-          Alcotest.test_case "branches" `Quick test_branches;
-          Alcotest.test_case "loop" `Quick test_loop_sum;
-          Alcotest.test_case "call/ret" `Quick test_call_ret;
-          Alcotest.test_case "jalr link" `Quick test_jalr_link ] );
-      ( "pipeline",
-        [ Alcotest.test_case "forwarding" `Quick test_forwarding_chain;
-          Alcotest.test_case "load-use" `Quick test_load_use;
-          Alcotest.test_case "store forwarding" `Quick test_store_data_forwarding;
-          Alcotest.test_case "ipc linear" `Quick test_ipc_linear;
-          Alcotest.test_case "branch penalty" `Quick test_branch_penalty ] );
-      ( "faults",
-        [ Alcotest.test_case "unhandled fault" `Quick test_unhandled_fault_halts;
-          Alcotest.test_case "misaligned" `Quick test_misaligned_load_halts;
-          Alcotest.test_case "illegal" `Quick test_illegal_instruction_halts;
-          Alcotest.test_case "metal-only in normal" `Quick
-            test_metal_instr_illegal_in_normal_mode;
-          Alcotest.test_case "ecall unhandled" `Quick test_ecall_unhandled;
-          Alcotest.test_case "precision" `Quick test_precise_exception ] );
-      ( "metal",
-        [ Alcotest.test_case "roundtrip" `Quick test_menter_roundtrip;
-          Alcotest.test_case "m31" `Quick test_menter_m31;
-          Alcotest.test_case "mreg persistence" `Quick test_mregs_persist;
-          Alcotest.test_case "mram data" `Quick test_mram_data_segment;
-          Alcotest.test_case "invalid entry" `Quick test_menter_invalid_entry;
-          Alcotest.test_case "fast cost" `Quick test_fast_transition_cost;
-          Alcotest.test_case "trap cost" `Quick test_trap_transition_cost;
-          Alcotest.test_case "palcode cost" `Quick test_palcode_slower_than_fast;
-          Alcotest.test_case "metal fault fatal" `Quick test_metal_fault_fatal;
-          Alcotest.test_case "mroutine ebreak" `Quick test_mroutine_ebreak_halts;
-          Alcotest.test_case "shared gprs" `Quick test_gpr_shared_with_metal;
-          Alcotest.test_case "gprr/gprw" `Quick test_gprr_gprw ] );
-      ( "delegation",
-        [ Alcotest.test_case "ecall" `Quick test_ecall_delegated;
-          Alcotest.test_case "retry" `Quick test_exception_retry;
-          Alcotest.test_case "interrupt" `Quick test_interrupt_delivery;
-          Alcotest.test_case "non-interruptible" `Quick test_interrupt_not_in_metal ] );
-      ( "interception",
-        [ Alcotest.test_case "store" `Quick test_intercept_store;
-          Alcotest.test_case "load" `Quick test_intercept_load;
-          Alcotest.test_case "toggle" `Quick test_intercept_toggle ] );
-    ]
+    (List.concat
+       [ [ ( "base-isa",
+             [ Alcotest.test_case "arith" `Quick test_arith;
+               Alcotest.test_case "logic/shift" `Quick test_logic_shift;
+               Alcotest.test_case "slt" `Quick test_slt;
+               Alcotest.test_case "lui/auipc" `Quick test_lui_auipc;
+               Alcotest.test_case "x0" `Quick test_x0_immutable;
+               Alcotest.test_case "memory" `Quick test_memory;
+               Alcotest.test_case "sign extension" `Quick
+                 test_load_sign_extension;
+               Alcotest.test_case "branches" `Quick test_branches;
+               Alcotest.test_case "loop" `Quick test_loop_sum;
+               Alcotest.test_case "call/ret" `Quick test_call_ret;
+               Alcotest.test_case "jalr link" `Quick test_jalr_link ] );
+           ( "pipeline",
+             [ Alcotest.test_case "forwarding" `Quick test_forwarding_chain;
+               Alcotest.test_case "load-use" `Quick test_load_use;
+               Alcotest.test_case "store forwarding" `Quick
+                 test_store_data_forwarding;
+               Alcotest.test_case "ipc linear" `Quick test_ipc_linear;
+               Alcotest.test_case "branch penalty" `Quick
+                 test_branch_penalty ] ) ];
+         Tutil.tiered "faults"
+           [ ("unhandled fault", test_unhandled_fault_halts);
+             ("misaligned", test_misaligned_load_halts);
+             ("illegal", test_illegal_instruction_halts);
+             ("metal-only in normal", test_metal_instr_illegal_in_normal_mode);
+             ("ecall unhandled", test_ecall_unhandled);
+             ("precision", test_precise_exception) ];
+         Tutil.tiered "metal"
+           [ ("roundtrip", test_menter_roundtrip);
+             ("m31", test_menter_m31);
+             ("mreg persistence", test_mregs_persist);
+             ("mram data", test_mram_data_segment);
+             ("invalid entry", test_menter_invalid_entry);
+             ("fast cost", test_fast_transition_cost);
+             ("trap cost", test_trap_transition_cost);
+             ("palcode cost", test_palcode_slower_than_fast);
+             ("metal fault fatal", test_metal_fault_fatal);
+             ("mroutine ebreak", test_mroutine_ebreak_halts);
+             ("shared gprs", test_gpr_shared_with_metal);
+             ("gprr/gprw", test_gprr_gprw) ];
+         Tutil.tiered "delegation"
+           [ ("ecall", test_ecall_delegated);
+             ("retry", test_exception_retry);
+             ("interrupt", test_interrupt_delivery);
+             ("non-interruptible", test_interrupt_not_in_metal) ];
+         Tutil.tiered "interception"
+           [ ("store", test_intercept_store);
+             ("load", test_intercept_load);
+             ("toggle", test_intercept_toggle) ] ])

@@ -9,7 +9,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let boot ?(config = Config.default) ?mcode src =
-  let m = Machine.create ~config () in
+  let m = Machine.create ~config:(Tutil.tier_config config) () in
   let img = Metal_asm.Asm.assemble_exn src in
   (match Machine.load_image m img with
    | Ok () -> ()
@@ -245,14 +245,9 @@ let test_mroutine_console_mmio () =
     ".mentry 0, say\nsay:\nli t0, 0xF0000000\nli t1, 'M'\n\
      physst t1, 0(t0)\nmexit\n"
   in
-  let m = Machine.create () in
+  let m = boot ~mcode "menter 0\nebreak\n" in
   let console = Metal_hw.Devices.Console.create ~base:0xF0000000 in
   Metal_hw.Bus.attach m.Machine.bus (Metal_hw.Devices.Console.device console);
-  let img = Metal_asm.Asm.assemble_exn "menter 0\nebreak\n" in
-  (match Machine.load_image m img with Ok () -> () | Error e -> Alcotest.fail e);
-  let mi = Metal_asm.Asm.assemble_exn mcode in
-  (match Machine.load_mcode m mi with Ok () -> () | Error e -> Alcotest.fail e);
-  Machine.set_pc m 0;
   ignore (run_to_ebreak m);
   Alcotest.(check string) "console" "M" (Metal_hw.Devices.Console.output console)
 
@@ -806,60 +801,55 @@ let test_mram_reconfig_vs_cached_fetch () =
 
 let () =
   Alcotest.run "cpu-edge"
-    [
-      ( "interrupts",
-        [ Alcotest.test_case "masked" `Quick test_interrupt_masked;
-          Alcotest.test_case "no handler" `Quick test_interrupt_without_handler;
-          Alcotest.test_case "periodic re-arm" `Quick test_timer_rearm_periodic;
-          Alcotest.test_case "precise resume" `Quick
-            test_interrupt_resumes_precisely;
-          Alcotest.test_case "priority order" `Quick test_interrupt_priority ] );
-      ( "delegation",
-        [ Alcotest.test_case "breakpoint" `Quick test_breakpoint_delegated;
-          Alcotest.test_case "misaligned jalr" `Quick
-            test_misaligned_fetch_via_jalr;
-          Alcotest.test_case "bad fetch" `Quick test_fetch_beyond_memory ] );
-      ( "metal-mode",
-        [ Alcotest.test_case "nested menter fatal" `Quick
-            test_menter_inside_mroutine_fatal;
-          Alcotest.test_case "mexit illegal in normal" `Quick
-            test_mexit_in_normal_mode_illegal;
-          Alcotest.test_case "chained menters" `Quick test_chained_menters;
-          Alcotest.test_case "wmr/mexit interlock" `Quick
-            test_wmr_mexit_interlock;
-          Alcotest.test_case "rmr after wmr" `Quick test_rmr_after_wmr;
-          Alcotest.test_case "mmio from metal" `Quick test_mroutine_console_mmio;
-          Alcotest.test_case "mld bounds fatal" `Quick
-            test_mld_out_of_range_fatal;
-          Alcotest.test_case "gprw x0" `Quick test_gprw_x0_ignored ] );
-      ( "interception",
-        [ Alcotest.test_case "jal" `Quick test_intercept_jal_emulates_jump;
-          Alcotest.test_case "branch" `Quick test_intercept_branch;
-          Alcotest.test_case "system" `Quick test_intercept_system_class ] );
-      ( "tlb",
-        [ Alcotest.test_case "pressure" `Quick test_tlb_instruction_pressure;
-          Alcotest.test_case "selective flush" `Quick test_tlbflush_selectivity ] );
-      ( "cache",
-        [ Alcotest.test_case "icache warm/cold" `Quick test_icache_warm_vs_cold;
-          Alcotest.test_case "dedicated MRAM bypass" `Quick
-            test_dedicated_mram_bypasses_icache;
-          Alcotest.test_case "main-memory pollution" `Quick
-            test_main_memory_mroutines_pollute_icache;
-          Alcotest.test_case "dcache" `Quick test_dcache_hit_miss ] );
-      ( "timing",
-        [ Alcotest.test_case "memory latency" `Quick test_mem_latency_scales;
-          Alcotest.test_case "not-taken branches" `Quick
-            test_branch_not_taken_is_free;
-          Alcotest.test_case "counters" `Quick test_counter_invariants;
-          Alcotest.test_case "pkey fetch" `Quick test_pkey_fetch_unaffected ] );
-      ( "translation",
-        [ Alcotest.test_case "fault matrix" `Quick
-            test_translation_fault_matrix ] );
-      ( "edge-regressions",
-        [ Alcotest.test_case "mexit at MRAM segment end" `Quick
-            test_mexit_at_mram_segment_end;
-          Alcotest.test_case "intercept during load-use stall" `Quick
-            test_intercept_during_load_use_stall;
-          Alcotest.test_case "MRAM reconfig vs cached fetch" `Quick
-            test_mram_reconfig_vs_cached_fetch ] );
-    ]
+    (List.concat
+       [ Tutil.tiered "interrupts"
+           [ ("masked", test_interrupt_masked);
+             ("no handler", test_interrupt_without_handler);
+             ("periodic re-arm", test_timer_rearm_periodic);
+             ("precise resume", test_interrupt_resumes_precisely);
+             ("priority order", test_interrupt_priority) ];
+         Tutil.tiered "delegation"
+           [ ("breakpoint", test_breakpoint_delegated);
+             ("misaligned jalr", test_misaligned_fetch_via_jalr);
+             ("bad fetch", test_fetch_beyond_memory) ];
+         Tutil.tiered "metal-mode"
+           [ ("nested menter fatal", test_menter_inside_mroutine_fatal);
+             ("mexit illegal in normal", test_mexit_in_normal_mode_illegal);
+             ("chained menters", test_chained_menters);
+             ("wmr/mexit interlock", test_wmr_mexit_interlock);
+             ("rmr after wmr", test_rmr_after_wmr);
+             ("mmio from metal", test_mroutine_console_mmio);
+             ("mld bounds fatal", test_mld_out_of_range_fatal);
+             ("gprw x0", test_gprw_x0_ignored) ];
+         Tutil.tiered "interception"
+           [ ("jal", test_intercept_jal_emulates_jump);
+             ("branch", test_intercept_branch);
+             ("system", test_intercept_system_class) ];
+         Tutil.tiered "tlb"
+           [ ("pressure", test_tlb_instruction_pressure);
+             ("selective flush", test_tlbflush_selectivity) ];
+         [ ( "cache",
+             [ Alcotest.test_case "icache warm/cold" `Quick
+                 test_icache_warm_vs_cold;
+               Alcotest.test_case "dedicated MRAM bypass" `Quick
+                 test_dedicated_mram_bypasses_icache;
+               Alcotest.test_case "main-memory pollution" `Quick
+                 test_main_memory_mroutines_pollute_icache;
+               Alcotest.test_case "dcache" `Quick test_dcache_hit_miss ] );
+           ( "timing",
+             [ Alcotest.test_case "memory latency" `Quick
+                 test_mem_latency_scales;
+               Alcotest.test_case "not-taken branches" `Quick
+                 test_branch_not_taken_is_free;
+               Alcotest.test_case "counters" `Quick test_counter_invariants;
+               Alcotest.test_case "pkey fetch" `Quick
+                 test_pkey_fetch_unaffected ] );
+           ( "translation",
+             [ Alcotest.test_case "fault matrix" `Quick
+                 test_translation_fault_matrix ] ) ];
+         Tutil.tiered "edge-regressions"
+           [ ("mexit at MRAM segment end", test_mexit_at_mram_segment_end);
+             ("intercept during load-use stall",
+              test_intercept_during_load_use_stall);
+             ("MRAM reconfig vs cached fetch",
+              test_mram_reconfig_vs_cached_fetch) ] ])

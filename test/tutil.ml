@@ -57,3 +57,37 @@ let run_injected ?(config = Metal_cpu.Config.default) ?(integrity = false)
   in
   let verdict = Inject.classify ~corrections ~oracle ~stop ~snap () in
   (verdict, applied, stop, oracle, snap)
+
+(* Stepper tiers for the Metal-path unit groups.  The differential
+   corpus is user-mode only, so these groups are what check each
+   stepper's schedule on Metal, exception, interrupt, interception and
+   TLB paths.  [tier_config] narrows a test's own configuration to the
+   current tier: a test that already picks the slow stepper keeps it;
+   one that runs the default blocks stepper drops to predecode-only or
+   slow. *)
+let tier = ref None
+
+let tier_config config =
+  let open Metal_cpu.Config in
+  match !tier with
+  | None -> config
+  | Some (predecode, blockcache) ->
+    { config with
+      predecode = config.predecode && predecode;
+      blockcache = config.blockcache && blockcache }
+
+(* [group] as-is (each test's own configuration, blocks by default)
+   plus a [-predecode] and a [-slow] copy. *)
+let tiered group cases =
+  List.map
+    (fun (suffix, t) ->
+       ( group ^ suffix,
+         List.map
+           (fun (name, f) ->
+              Alcotest.test_case name `Quick (fun () ->
+                  tier := t;
+                  Fun.protect ~finally:(fun () -> tier := None) f))
+           cases ))
+    [ ("", None);
+      ("-predecode", Some (true, false));
+      ("-slow", Some (false, false)) ]
