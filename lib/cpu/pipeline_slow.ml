@@ -24,6 +24,7 @@
 
 open Machine
 module Ev = Metal_trace.Event
+module S = Semantics
 
 (* Seed-style latch values (immutable; reallocated every cycle). *)
 
@@ -132,9 +133,6 @@ let store_latches (m : Machine.t) l =
   | Some { wrd; wvalue } ->
     m.wb_rd <- wrd;
     m.wb_value <- wvalue
-
-
-module S = Semantics
 
 let uop_writes_gpr = function
   | U_instr i -> Instr.writes_gpr i

@@ -1,13 +1,6 @@
 open Machine
 module Ev = Metal_trace.Event
 
-(* Functions here never touch a pipeline latch directly: where an
-   effect must squash the in-flight stages or write a result back, the
-   caller passes that action in.  Values use the int-encoded
-   convention of the fast stepper (no options or results on the
-   per-cycle path), so [Pipeline.step_fast] can call them without
-   allocating. *)
-
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
 
@@ -288,6 +281,9 @@ let flush m ~squash =
   m.stats.Stats.flushes <- m.stats.Stats.flushes + 1;
   emit m Ev.flush Ev.flush_event 0
 
+(* Enter the mroutine registered as handler [handler_value] (stored as
+   entry+1), writing [writes] into the Metal register file.  Fails the
+   whole machine when the configuration is inconsistent. *)
 let deliver_to_mroutine m ~squash ~handler_value ~writes ~reason ~on_missing =
   let entry = handler_value - 1 in
   match Metal_hw.Mram.entry_addr m.mram entry with
@@ -415,17 +411,20 @@ let commit_event m kind writes =
 (* Call/return hints for the profiler, per the RISC-V calling
    convention: linking through ra/t0 marks a call; jalr x0 via ra/t0
    marks a return.  Classified at retire (past any squash) so every
-   stepper emits the same stream; gated on [probe_on] so the disabled
-   path stays one load-and-branch. *)
+   stepper emits the same stream; gated on [probe_on] in a wrapper
+   small enough to inline, so the disabled path stays one
+   load-and-branch. *)
+let emit_link_hint m instr ~pc ~sval =
+  match instr with
+  | Instr.Jal { rd; offset } ->
+    if rd = 1 || rd = 5 then emit m Ev.call (Word.add pc offset) pc
+  | Instr.Jalr { rd; rs1; _ } ->
+    if rd = 1 || rd = 5 then emit m Ev.call sval pc
+    else if rd = 0 && (rs1 = 1 || rs1 = 5) then emit m Ev.ret sval pc
+  | _ -> ()
+
 let link_hint m instr ~pc ~sval =
-  if m.probe_on then
-    match instr with
-    | Instr.Jal { rd; offset } ->
-      if rd = 1 || rd = 5 then emit m Ev.call (Word.add pc offset) pc
-    | Instr.Jalr { rd; rs1; _ } ->
-      if rd = 1 || rd = 5 then emit m Ev.call sval pc
-      else if rd = 0 && (rs1 = 1 || rs1 = 5) then emit m Ev.ret sval pc
-    | _ -> ()
+  if m.probe_on then emit_link_hint m instr ~pc ~sval
 
 let note_store m pa =
   if Metal_hw.Phys_mem.in_range (Metal_hw.Bus.memory m.bus) ~addr:pa ~width:1

@@ -9,27 +9,27 @@
 
     Nothing here touches a pipeline latch.  Where an effect must squash
     the in-flight stages or write a result back, the caller passes that
-    action in ([~squash], [~writeback], ...); the fast stepper passes
-    top-level functions so its per-cycle path stays allocation-free.
-    Results follow the fast stepper's int-encoded convention.
+    action in: [~squash] invalidates every latch of the caller, MEM/WB
+    included; [~writeback], [~no_writeback] and [~except] end a MEM
+    stage.  The fast stepper passes top-level functions so its
+    per-cycle path stays allocation-free.  Results follow the fast
+    stepper's int-encoded convention.
 
     The steppers share this code, so the differential suite cannot
     catch a bug in it; independent checks do.  {!Reference} covers
     {!alu_compute}, {!branch_taken} and {!sign_extend_load};
-    [test_progs]' walker-vs-hardware-walker case covers {!hw_walk};
-    [test_cpu2]'s translation fault matrix covers {!translate}; the
-    [test_cpu]/[test_cpu2] Metal groups and [test_ecc] cover
-    {!mem_metal}. *)
+    [test_progs]' walker-vs-hardware-walker case covers the hardware
+    page walk; [test_cpu2]'s translation fault matrix covers
+    {!translate}; the [test_cpu]/[test_cpu2] Metal groups and
+    [test_ecc] cover {!mem_metal}. *)
 
 open Machine
 
 (** {2 Classification} *)
 
-val produces_at_mem : Instr.t -> bool
+val uop_produces_at_mem : uop -> bool
 (** GPR result available only after MEM: a dependent instruction right
     behind it stalls one cycle (load-use interlock). *)
-
-val uop_produces_at_mem : uop -> bool
 
 val uop_writes_mreg : uop -> bool
 (** Modifies Metal registers at MEM; [mexit] decodes against m31, so it
@@ -57,16 +57,13 @@ val branch_taken : Instr.branch_cond -> Word.t -> Word.t -> bool
 
 type access = A_fetch | A_load | A_store
 
-val hw_walk : t -> vpn:int -> asid:int -> Metal_hw.Tlb.entry option
-(** Hardware two-level page-table walk from [pt_root] (the baseline
-    the paper's custom page tables compete with), charging the
-    walker latency per PTE read. *)
-
 val translate : t -> access:access -> metal:bool -> int -> int
 (** Physical address of [vaddr] in the current address space, or -1
     with the cause in [t.xlate_cause] and the address in
-    [t.fault_vaddr].  Misses walk in hardware when [hw_walker] is set.
-    Metal mode skips page-key checks (mroutines are fully
+    [t.fault_vaddr].  A TLB miss walks the page table in hardware
+    ([hw_walk], the baseline the paper's custom page tables compete
+    with) when [hw_walker] is set, charging the walker latency per PTE
+    read.  Metal mode skips page-key checks (mroutines are fully
     privileged). *)
 
 (** {2 Timing charges} *)
@@ -76,9 +73,6 @@ val charge_cache : t -> Metal_hw.Cache.t option -> addr:int -> fetch:bool -> uni
     fetch or the data stall counter. *)
 
 val charge_mem_latency : t -> unit
-
-val charge_ecc_check : t -> unit
-(** One stall cycle for the in-line SECDED verify on an [mld]. *)
 
 val charge_mram_fetch : t -> pc:int -> unit
 (** Fetch penalty of main-memory-backed mroutines (the PALcode
@@ -91,10 +85,6 @@ val timer_tick : t -> unit
 
 val redirect : t -> target:int -> metal:bool -> unit
 (** Point the fetch unit at [target] and unfreeze it. *)
-
-val flush : t -> squash:(t -> unit) -> unit
-(** [squash] the caller's latches (MEM/WB included) and count the
-    flush. *)
 
 val raise_exception :
   t -> squash:(t -> unit) -> cause:Cause.t -> epc:int -> tval:Word.t ->
