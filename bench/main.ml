@@ -1194,7 +1194,7 @@ loop:
     ebreak
 |}
   in
-  let gate ~blockcache ~label ~what ~loop =
+  let gate ~blockcache ~what ~loop =
     let config = { Config.default with Config.blockcache } in
     let m = machine ~config () in
     ignore (load m prog);
@@ -1209,8 +1209,9 @@ loop:
     let cycles = m2.Machine.stats.Stats.cycles in
     let per_cycle = dw /. float_of_int cycles in
     Printf.printf
-      "allocation gate%s: %.0f minor words / %d cycles = %.4f words per cycle\n"
-      label dw cycles per_cycle;
+      "allocation gate (%s): %.0f minor words / %d cycles = %.4f words per \
+       cycle\n"
+      what dw cycles per_cycle;
     if per_cycle > 0.05 then
       fail
         "%s allocates %.4f minor words per cycle (budget 0.05) — boxing \
@@ -1219,12 +1220,9 @@ loop:
     per_cycle
   in
   let blocks =
-    gate ~blockcache:true ~label:"" ~what:"block replay"
-      ~loop:"the compiled loop"
+    gate ~blockcache:true ~what:"block replay" ~loop:"the compiled loop"
   in
-  ignore
-    (gate ~blockcache:false ~label:" (predecode)" ~what:"the predecode stepper"
-       ~loop:"step_fast");
+  ignore (gate ~blockcache:false ~what:"predecode stepper" ~loop:"step_fast");
   blocks
 
 let simperf_json = ref false

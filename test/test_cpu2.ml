@@ -537,8 +537,8 @@ let fault_matrix_rows =
     ("misaligned fetch", true, None, "li t0, 0x102\njr t0\n",
      fault Cause.Misaligned_fetch ~pc:0x102 ~info:0x102 ~vaddr:0) ]
 
-let run_fault_row ~config ~paging ?mcode src =
-  let m = boot ~config ?mcode src in
+let run_fault_row ~paging ?mcode src =
+  let m = boot ?mcode src in
   let alloc = Metal_kernel.Frame_alloc.create ~base:0x100000 ~limit:0x200000 in
   let mem = Metal_hw.Bus.memory m.Machine.bus in
   let pt = Metal_kernel.Page_table.create ~mem ~alloc in
@@ -564,49 +564,44 @@ let run_fault_row ~config ~paging ?mcode src =
 let test_translation_fault_matrix () =
   let cause = Alcotest.testable (Fmt.of_to_string Cause.to_string) ( = ) in
   List.iter
-    (fun (tier, predecode, blockcache) ->
-       List.iter
-         (fun (name, paging, mcode, src, expect) ->
-            let config = { Config.default with Config.predecode; blockcache } in
-            let m, halt = run_fault_row ~config ~paging ?mcode src in
-            let what s = Printf.sprintf "%s [%s]: %s" name tier s in
-            match (expect, halt) with
-            | ( Fault { metal; cause = c; pc; info; vaddr },
-                Some
-                  ( Machine.Halt_fault { cause = got; pc = gpc; info = ginfo }
-                  | Machine.Halt_metal_fault
-                      { cause = got; pc = gpc; info = ginfo } ) ) ->
-              let label =
-                Metal_asm.Image.find_symbol
-                  (Metal_asm.Asm.assemble_exn (Option.value ~default:src mcode))
-                  "fault"
-              in
-              let pc =
-                match (pc, label) with
-                | Some pc, _ | None, Some pc -> pc
-                | None, None -> Alcotest.fail (what "no fault label")
-              in
-              check_bool (what "metal fault") metal
-                (match halt with
-                 | Some (Machine.Halt_metal_fault _) -> true
-                 | _ -> false);
-              Alcotest.check cause (what "cause") c got;
-              check_int (what "pc") pc gpc;
-              check_int (what "info") info ginfo;
-              check_int (what "fault_vaddr") vaddr m.Machine.fault_vaddr
-            | Clean checks, Some (Machine.Halt_ebreak _) ->
-              List.iter
-                (function
-                  | Reg (r, v) -> check_int (what r) v (reg m r)
-                  | Mem (pa, v) ->
-                    check_int (what (Printf.sprintf "mem 0x%x" pa)) v
-                      (Machine.read_word m pa))
-                checks
-            | _, Some h -> Alcotest.fail (what (Machine.halted_to_string h))
-            | _, None -> Alcotest.fail (what "no halt"))
-         fault_matrix_rows)
-    [ ("blocks", true, true); ("predecode", true, false);
-      ("slow", false, false) ]
+    (fun (name, paging, mcode, src, expect) ->
+       let m, halt = run_fault_row ~paging ?mcode src in
+       let what s = name ^ ": " ^ s in
+       match (expect, halt) with
+       | ( Fault { metal; cause = c; pc; info; vaddr },
+           Some
+             ( Machine.Halt_fault { cause = got; pc = gpc; info = ginfo }
+             | Machine.Halt_metal_fault { cause = got; pc = gpc; info = ginfo }
+             ) ) ->
+         let label =
+           Metal_asm.Image.find_symbol
+             (Metal_asm.Asm.assemble_exn (Option.value ~default:src mcode))
+             "fault"
+         in
+         let pc =
+           match (pc, label) with
+           | Some pc, _ | None, Some pc -> pc
+           | None, None -> Alcotest.fail (what "no fault label")
+         in
+         check_bool (what "metal fault") metal
+           (match halt with
+            | Some (Machine.Halt_metal_fault _) -> true
+            | _ -> false);
+         Alcotest.check cause (what "cause") c got;
+         check_int (what "pc") pc gpc;
+         check_int (what "info") info ginfo;
+         check_int (what "fault_vaddr") vaddr m.Machine.fault_vaddr
+       | Clean checks, Some (Machine.Halt_ebreak _) ->
+         List.iter
+           (function
+             | Reg (r, v) -> check_int (what r) v (reg m r)
+             | Mem (pa, v) ->
+               check_int (what (Printf.sprintf "mem 0x%x" pa)) v
+                 (Machine.read_word m pa))
+           checks
+       | _, Some h -> Alcotest.fail (what (Machine.halted_to_string h))
+       | _, None -> Alcotest.fail (what "no halt"))
+    fault_matrix_rows
 
 (* ------------------------------------------------------------------ *)
 (* Cache timing and MRAM bypass (Section 2 / Section 4) *)
@@ -843,10 +838,9 @@ let () =
                  test_branch_not_taken_is_free;
                Alcotest.test_case "counters" `Quick test_counter_invariants;
                Alcotest.test_case "pkey fetch" `Quick
-                 test_pkey_fetch_unaffected ] );
-           ( "translation",
-             [ Alcotest.test_case "fault matrix" `Quick
-                 test_translation_fault_matrix ] ) ];
+                 test_pkey_fetch_unaffected ] ) ];
+         Tutil.tiered "translation"
+           [ ("fault matrix", test_translation_fault_matrix) ];
          Tutil.tiered "edge-regressions"
            [ ("mexit at MRAM segment end", test_mexit_at_mram_segment_end);
              ("intercept during load-use stall",
