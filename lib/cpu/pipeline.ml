@@ -398,21 +398,19 @@ let do_id m ~exm_wr_rd ~exm_wmreg =
                 d.dvalid <- false;
                 id_stall
               end
+              else if S.mexit_return_lost m then begin
+                (* The return address is unrecoverable: route the typed
+                   fault to MEM like any other decode-stage poison
+                   instead of jumping to garbage. *)
+                id_set_poison d f Cause.Ecc_uncorrectable f.word;
+                id_pass
+              end
               else begin
-                if S.mexit_return_lost m then begin
-                  (* The return address is unrecoverable: route the
-                     typed fault to MEM like any other decode-stage
-                     poison instead of jumping to garbage. *)
-                  id_set_poison d f Cause.Ecc_uncorrectable f.word;
-                  id_pass
-                end
-                else begin
-                  m.stats.Stats.mexits <- m.stats.Stats.mexits + 1;
-                  d.dvalid <- false;
-                  let target = get_mreg m Reg.Mconv.return_address in
-                  emit m Ev.mode_exit target 0;
-                  (target lsl 2) lor 1
-                end
+                m.stats.Stats.mexits <- m.stats.Stats.mexits + 1;
+                d.dvalid <- false;
+                let target = get_mreg m Reg.Mconv.return_address in
+                emit m Ev.mode_exit target 0;
+                (target lsl 2) lor 1
               end
             | _ ->
               id_set_dec d f f.fuop rs1 rs2 rv1 rv2;

@@ -452,19 +452,17 @@ let do_id m if_id_old ~id_ex_old ~ex_mem_old =
                     m.stats.Stats.interlock_stalls + 1;
                   Id_stall
                 end
+                else if S.mexit_return_lost m then
+                  (* Unrecoverable return address: poison to MEM like
+                     the fast stepper. *)
+                  poison Cause.Ecc_uncorrectable f.word
                 else begin
-                  if S.mexit_return_lost m then
-                    (* Unrecoverable return address: poison to MEM like
-                       the fast stepper. *)
-                    poison Cause.Ecc_uncorrectable f.word
-                  else begin
-                    m.stats.Stats.mexits <- m.stats.Stats.mexits + 1;
-                    let target = get_mreg m Reg.Mconv.return_address in
-                    emit m Ev.mode_exit target 0;
-                    Id_pass
-                      (None,
-                       Some { target; to_metal = false; combinational = true })
-                  end
+                  m.stats.Stats.mexits <- m.stats.Stats.mexits + 1;
+                  let target = get_mreg m Reg.Mconv.return_address in
+                  emit m Ev.mode_exit target 0;
+                  Id_pass
+                    (None,
+                     Some { target; to_metal = false; combinational = true })
                 end
               | _ -> Id_pass (Some (dec (U_instr instr)), None)
               end
