@@ -46,7 +46,8 @@ val sources_of : Instr.t -> int * int
 val width_alignment : Instr.mem_width -> int
 (** Address bits that must be clear for an access of this width. *)
 
-val sign_extend_load : width:Instr.mem_width -> unsigned:bool -> Word.t -> Word.t
+val sign_extend_load :
+  width:Instr.mem_width -> unsigned:bool -> Word.t -> Word.t
 
 (** {2 EX} *)
 
@@ -68,7 +69,8 @@ val translate : t -> access:access -> metal:bool -> int -> int
 
 (** {2 Timing charges} *)
 
-val charge_cache : t -> Metal_hw.Cache.t option -> addr:int -> fetch:bool -> unit
+val charge_cache :
+  t -> Metal_hw.Cache.t option -> addr:int -> fetch:bool -> unit
 (** A miss stalls the pipe for the cache's penalty, attributed to the
     fetch or the data stall counter. *)
 

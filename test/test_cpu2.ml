@@ -549,7 +549,8 @@ let run_fault_row ~paging ?mcode src =
   in
   map 0 0 Metal_kernel.Page_table.rwx;
   map 0x10000 0x20000 Metal_kernel.Page_table.ro;
-  map 0x11000 0x21000 { Metal_kernel.Page_table.r = false; w = true; x = false };
+  map 0x11000 0x21000
+    { Metal_kernel.Page_table.r = false; w = true; x = false };
   map ~pkey:1 0x13000 0x23000 Metal_kernel.Page_table.rw;
   map ~pkey:2 0x14000 0x24000 Metal_kernel.Page_table.rw;
   Machine.write_word m 0x12000 77;

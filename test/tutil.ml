@@ -61,10 +61,10 @@ let run_injected ?(config = Metal_cpu.Config.default) ?(integrity = false)
 (* Stepper tiers for the Metal-path unit groups.  The differential
    corpus is user-mode only, so these groups are what check each
    stepper's schedule on Metal, exception, interrupt, interception,
-   translation and TLB paths.  [tier_config] narrows a test's own configuration to the
-   current tier: a test that already picks the slow stepper keeps it;
-   one that runs the default blocks stepper drops to predecode-only or
-   slow. *)
+   translation and TLB paths.  [tier_config] narrows a test's own
+   configuration to the current tier: a test that already picks the
+   slow stepper keeps it; one that runs the default blocks stepper
+   drops to predecode-only or slow. *)
 let tier = ref None
 
 let tier_config config =
