@@ -76,18 +76,20 @@ let tier_config config =
       predecode = config.predecode && predecode;
       blockcache = config.blockcache && blockcache }
 
-(* [group] as-is (each test's own configuration, blocks by default)
-   plus a [-predecode] and a [-slow] copy. *)
+(* [group] with each case as-is (the test's own configuration, blocks
+   by default), followed by a ["predecode: "] and a ["slow: "] copy of
+   every case.  The copies stay in [group] rather than in groups of
+   their own: a longer group name widens the runner's group column and
+   truncates the printed names of every test in the suite. *)
 let tiered group cases =
-  List.map
-    (fun (suffix, t) ->
-       ( group ^ suffix,
-         List.map
-           (fun (name, f) ->
-              Alcotest.test_case name `Quick (fun () ->
-                  tier := t;
-                  Fun.protect ~finally:(fun () -> tier := None) f))
-           cases ))
-    [ ("", None);
-      ("-predecode", Some (true, false));
-      ("-slow", Some (false, false)) ]
+  let case (prefix, t) (name, f) =
+    Alcotest.test_case (prefix ^ name) `Quick (fun () ->
+        tier := t;
+        Fun.protect ~finally:(fun () -> tier := None) f)
+  in
+  [ ( group,
+      List.concat_map
+        (fun t -> List.map (case t) cases)
+        [ ("", None);
+          ("predecode: ", Some (true, false));
+          ("slow: ", Some (false, false)) ] ) ]
